@@ -28,27 +28,26 @@ test-race:
 	$(GO) test -race -short ./internal/rsg/ ./internal/rsrsg/ ./internal/analysis/ ./internal/store/ ./internal/service/
 
 # One iteration over the benchmark surfaces a change is most likely to
-# rot: the digest-core micro-benches, the Figure-1 pipeline, the
-# Barnes-Hut L1 macro cell, and the semi-naïve delta on/off A/B pair,
-# plus a short run of the determinism suite (worker count x delta mode
-# must stay bit-identical).
+# rot: the digest-core micro-benches, the Figure-1 pipeline and the
+# Barnes-Hut L1 macro cell, plus a short run of the determinism suite
+# (every worker count must stay bit-identical).
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkSignature|BenchmarkDigest' -benchtime=1x ./internal/rsg/
-	$(GO) test -run xxx -bench 'BenchmarkFigure1Pipeline|BenchmarkParallelBarnesHutL1_Workers1$$|BenchmarkDeltaBarnesHutL1_' -benchtime=1x .
+	$(GO) test -run xxx -bench 'BenchmarkFigure1Pipeline|BenchmarkParallelBarnesHutL1_Workers1$$' -benchtime=1x .
 	$(GO) test -run TestParallelDeterminism -short -count=1 ./internal/analysis/
 
-# One-rep benchtab run over the snapshot's cells, printing per-cell
-# time/alloc deltas vs the committed BENCH_PR4.json. Single reps are
-# noisy; the target exists to keep the harness and the compare path
-# exercised, and to make gross regressions visible in CI output.
+# One-rep benchtab run over the snapshot's cells, each to its fixed
+# point, printing per-cell time/alloc deltas vs the committed
+# BENCH_PR9.json (its converged wto cells). Single reps are noisy; the
+# target exists to keep the harness and the compare path exercised,
+# and to make gross regressions visible in CI output.
 bench-compare:
 	$(GO) run ./cmd/benchtab -kernels barneshut,matvec -levels 1 \
-		-visits 1500 -reps 1 -workers 1 -deltamodes on,off -sched rpo,wto \
-		-compare BENCH_PR4.json
+		-reps 1 -workers 1 -compare BENCH_PR9.json
 
-# Scheduler smoke gate (DESIGN.md §14): on the loop-heavy kernels the
-# WTO scheduler must never run more statement visits than the flat RPO
-# worklist, and no committed fixture may trip loop-head widening.
+# Scheduler smoke gate (DESIGN.md §14): the Figure 1 list, matvec and
+# Barnes-Hut must converge at L1 within absolute visit ceilings, and
+# none of them may trip loop-head widening.
 bench-sched:
 	$(GO) test -run TestSchedSmoke -count=1 ./internal/analysis/
 

@@ -242,69 +242,7 @@ func BenchmarkParallelBarnesHutL1_Workers2(b *testing.B) { benchParallelBarnesHu
 func BenchmarkParallelBarnesHutL1_Workers4(b *testing.B) { benchParallelBarnesHut(b, 4) }
 func BenchmarkParallelBarnesHutL1_Workers8(b *testing.B) { benchParallelBarnesHut(b, 8) }
 
-// ---- Semi-naïve delta propagation A/B ----------------------------------
-
-// The delta engine transfers only the graphs newly admitted to a
-// statement's in-state and re-reduces only the dirtied alias buckets
-// (DESIGN.md §8); per-statement digests are bit-identical either way
-// (see internal/analysis TestParallelDeterminism), so the On/Off pair
-// measures pure speedup. For interleaved medians use
-// `go run ./cmd/benchtab -reps N -deltamodes on,off`.
-
-func BenchmarkDeltaBarnesHutL1_On(b *testing.B) {
-	benchKernel(b, "barneshut", rsg.L1, analysis.Options{Workers: 1, MaxVisits: benchVisits})
-}
-
-func BenchmarkDeltaBarnesHutL1_Off(b *testing.B) {
-	benchKernel(b, "barneshut", rsg.L1, analysis.Options{Workers: 1, MaxVisits: benchVisits, NoDelta: true})
-}
-
 // ---- Digest-core regression checks -------------------------------------
-
-// TestTransferMemoHitRateBarnesHut asserts the transfer memoization
-// floor on the full-recompute path (NoDelta): within the bounded
-// Barnes-Hut L1 run the same RSGs flow through the same statements
-// often enough that at least half of the per-graph transfers must be
-// served from the digest-keyed memo. (Measured: ~57% at 3000 visits,
-// ~65% at the full fixed point.) The default (delta) path eliminates
-// those repeats before the memo is even probed — a statement's
-// in-state never re-admits an absorbed digest, so every delta-path
-// probe is a first-time miss; the test pins that the delta run steps
-// no more graphs than the memoized full run deduplicated down to.
-func TestTransferMemoHitRateBarnesHut(t *testing.T) {
-	prog, _ := repro.MustKernel("barneshut")
-	full, err := analysis.Run(prog, analysis.Options{Level: rsg.L1, MaxVisits: 3000, NoDelta: true})
-	if err != nil && !errors.Is(err, analysis.ErrNoConvergence) {
-		t.Fatal(err)
-	}
-	rate := full.Stats.MemoHitRate()
-	t.Logf("nodelta: memo hits=%d misses=%d rate=%.1f%%", full.Stats.MemoHits, full.Stats.MemoMisses, 100*rate)
-	if rate < 0.50 {
-		t.Errorf("transfer-memo hit rate %.1f%% below the 50%% floor", 100*rate)
-	}
-	if full.Stats.Cache.GraphsFrozen == 0 || full.Stats.Cache.DigestsComputed == 0 {
-		t.Error("cache counters not populated")
-	}
-	if full.Stats.DeltaTransfers != 0 || full.Stats.FullRecomputes == 0 {
-		t.Errorf("NoDelta run used the delta path: delta=%d full=%d",
-			full.Stats.DeltaTransfers, full.Stats.FullRecomputes)
-	}
-
-	delta, err := analysis.Run(prog, analysis.Options{Level: rsg.L1, MaxVisits: 3000})
-	if err != nil && !errors.Is(err, analysis.ErrNoConvergence) {
-		t.Fatal(err)
-	}
-	t.Logf("delta: memo hits=%d misses=%d delta-transfers=%d dirty-buckets=%d",
-		delta.Stats.MemoHits, delta.Stats.MemoMisses,
-		delta.Stats.DeltaTransfers, delta.Stats.DirtyBuckets)
-	if delta.Stats.DeltaTransfers == 0 {
-		t.Error("default run never used the delta path")
-	}
-	if delta.Stats.MemoMisses > full.Stats.MemoMisses {
-		t.Errorf("delta run stepped more graphs (%d) than the memoized full run (%d)",
-			delta.Stats.MemoMisses, full.Stats.MemoMisses)
-	}
-}
 
 // TestFigurePipelinesUnderFreezeGuard runs the figure workloads with
 // the freeze guard armed (every graph entering an RSRSG is frozen, so
@@ -356,8 +294,9 @@ func deepLoopSource(depth int) string {
 }
 
 // BenchmarkDeepLoopNestWorklist measures fixed-point scheduling cost on
-// a 24-deep loop nest; transfer work is trivial (every body statement
-// is a memo hit after round one), so worklist overhead dominates.
+// a 24-deep loop nest; transfer work is trivial (after round one the
+// body statements' in-states admit nothing new), so worklist overhead
+// dominates.
 func BenchmarkDeepLoopNestWorklist(b *testing.B) {
 	prog, err := repro.Compile(deepLoopSource(24))
 	if err != nil {

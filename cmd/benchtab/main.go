@@ -12,8 +12,7 @@
 //
 // With -reps N every cell is measured N times in rep-major order (rep 1
 // of every cell, then rep 2, ...), so slow environmental drift hits all
-// cells alike — the interleaving that makes delta on/off medians
-// comparable — and the table reports per-cell medians. -json FILE
+// cells alike, and the table reports per-cell medians. -json FILE
 // additionally writes the full machine-readable results.
 //
 // -persist adds persistent-store modes alongside the storeless cold
@@ -27,19 +26,18 @@
 // -verdicts appends a memory-safety table: the progressive
 // null-deref / use-after-free / leak verdicts for each kernel.
 //
-// -sched measures the fixpoint schedulers side by side ("wto" is the
-// engine default; "rpo,wto" A/Bs the legacy flat worklist against the
-// weak-topological-order strategy with the same rep-major interleaving
-// as -deltamodes; visits_run and the transfer counts in the JSON are
-// the schedule-sensitive columns).
+// -compare FILE prints per-cell deltas against a previous -json
+// snapshot, matching cells by (bench, level, persist mode). Snapshot
+// rows that measured engine paths since removed (the RPO scheduler,
+// or delta propagation off) are skipped.
 //
 // Usage:
 //
 //	benchtab [-kernels matvec,matmat,lu,barneshut] [-levels 1,2,3]
 //	         [-lubudget N] [-timeout d] [-workers N] [-visits N]
-//	         [-deltamodes on|on,off] [-sched wto|rpo,wto]
 //	         [-persist cold|cold,warm,edit]
 //	         [-cache-dir DIR] [-verdicts] [-reps N] [-json out.json]
+//	         [-compare old.json]
 package main
 
 import (
@@ -61,13 +59,11 @@ import (
 	"repro/internal/verdict"
 )
 
-// cell is one benchmark configuration: kernel x level x delta mode x
-// scheduler x persistence mode.
+// cell is one benchmark configuration: kernel x level x persistence
+// mode.
 type cell struct {
 	kernel *benchprog.Kernel
 	lvl    rsg.Level
-	delta  bool
-	sched  analysis.Sched
 	// persist is "cold" (storeless baseline), "warm" (re-analysis from
 	// a populated store) or "edit" (one-statement tail edit against the
 	// base snapshot).
@@ -88,37 +84,33 @@ type repMeasurement struct {
 	rep        analysis.LevelReport
 }
 
-// cellResult is the JSON form of one cell's aggregated result.
-// MemoHitRate is a pointer so cells where the rate is meaningless —
-// no memoizable transfer ran, or delta propagation made repeats
-// structurally impossible — emit no memo_hit_rate at all instead of a
-// misleading hard 0 (see aggregate).
+// cellResult is the JSON form of one cell's aggregated result. Delta
+// and Sched label the engine path that ran: always delta propagation
+// under the WTO scheduler now, while older snapshots also hold rows
+// for the removed paths, which printCompare skips.
 type cellResult struct {
-	Bench            string   `json:"bench"`
-	Level            string   `json:"level"`
-	Workers          int      `json:"workers"`
-	Delta            bool     `json:"delta"`
-	Sched            string   `json:"sched"`
-	Persist          string   `json:"persist"`
-	Visits           int      `json:"visits"`
-	Reps             int      `json:"reps"`
-	MedianNs         int64    `json:"median_ns"`
-	MedianAllocBytes uint64   `json:"median_alloc_bytes"`
-	MedianAllocs     uint64   `json:"median_allocs"`
-	MemoHitRate      *float64 `json:"memo_hit_rate,omitempty"`
-	PoolHitRate      float64  `json:"pool_hit_rate"`
-	MaskSpills       uint64   `json:"mask_spills"`
-	DeltaTransfers   int      `json:"delta_transfers"`
-	FullRecomputes   int      `json:"full_recomputes"`
-	DirtyBuckets     int      `json:"dirty_buckets"`
-	MemoFull         int      `json:"memo_full"`
-	VisitsRun        int      `json:"visits_run"`
-	StoreMemoHits    int      `json:"store_memo_hits,omitempty"`
-	ReusedStmts      int      `json:"reused_statements,omitempty"`
-	ReseededStmts    int      `json:"reseeded_statements,omitempty"`
-	PeakNodes        int      `json:"peak_nodes"`
-	PeakGraphs       int      `json:"peak_graphs"`
-	Outcome          string   `json:"outcome"`
+	Bench            string  `json:"bench"`
+	Level            string  `json:"level"`
+	Workers          int     `json:"workers"`
+	Delta            bool    `json:"delta"`
+	Sched            string  `json:"sched"`
+	Persist          string  `json:"persist"`
+	Visits           int     `json:"visits"`
+	Reps             int     `json:"reps"`
+	MedianNs         int64   `json:"median_ns"`
+	MedianAllocBytes uint64  `json:"median_alloc_bytes"`
+	MedianAllocs     uint64  `json:"median_allocs"`
+	PoolHitRate      float64 `json:"pool_hit_rate"`
+	MaskSpills       uint64  `json:"mask_spills"`
+	DeltaTransfers   int     `json:"delta_transfers"`
+	DirtyBuckets     int     `json:"dirty_buckets"`
+	VisitsRun        int     `json:"visits_run"`
+	StoreMemoHits    int     `json:"store_memo_hits,omitempty"`
+	ReusedStmts      int     `json:"reused_statements,omitempty"`
+	ReseededStmts    int     `json:"reseeded_statements,omitempty"`
+	PeakNodes        int     `json:"peak_nodes"`
+	PeakGraphs       int     `json:"peak_graphs"`
+	Outcome          string  `json:"outcome"`
 }
 
 // jsonDoc is the top-level -json document.
@@ -138,8 +130,6 @@ func main() {
 	timeout := flag.Duration("timeout", 30*time.Minute, "per-cell wall-clock guard")
 	workers := flag.Int("workers", 0, "worker goroutines per cell (0 = GOMAXPROCS, 1 = sequential)")
 	visits := flag.Int("visits", 0, "visit bound per cell (0 = run to the fixed point)")
-	deltaModes := flag.String("deltamodes", "on", "delta propagation modes to measure: on, off, or on,off")
-	schedModes := flag.String("sched", "wto", "fixpoint schedulers to measure: wto, rpo, or rpo,wto")
 	persistModes := flag.String("persist", "cold", "persistence modes to measure: any of cold,warm,edit")
 	cacheDir := flag.String("cache-dir", "", "directory for persistent analysis stores (default: a temp dir when warm/edit modes run)")
 	verdicts := flag.Bool("verdicts", false, "append the memory-safety verdict table (null-deref / use-after-free / leak per kernel)")
@@ -180,27 +170,6 @@ func main() {
 
 	if *reps < 1 {
 		*reps = 1
-	}
-	var modes []bool
-	for _, m := range strings.Split(*deltaModes, ",") {
-		switch strings.TrimSpace(m) {
-		case "on":
-			modes = append(modes, true)
-		case "off":
-			modes = append(modes, false)
-		default:
-			fmt.Fprintf(os.Stderr, "benchtab: bad -deltamodes entry %q (want on/off)\n", m)
-			os.Exit(2)
-		}
-	}
-	var scheds []analysis.Sched
-	for _, s := range strings.Split(*schedModes, ",") {
-		sched, err := analysis.ParseSched(strings.TrimSpace(s))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: bad -sched entry %q (want wto/rpo)\n", s)
-			os.Exit(2)
-		}
-		scheds = append(scheds, sched)
 	}
 	var persists []string
 	needStore := false
@@ -261,55 +230,41 @@ func main() {
 				fmt.Fprintf(os.Stderr, "benchtab: bad level %q\n", ls)
 				os.Exit(2)
 			}
-			for _, delta := range modes {
-				for _, sched := range scheds {
-					opts := analysis.Options{
-						Timeout:   *timeout,
-						Workers:   *workers,
-						MaxVisits: *visits,
-						NoDelta:   !delta,
-						Sched:     sched,
-					}
-					if k.Name == "lu" && lvl > rsg.L1 {
-						opts.NodeBudget = *luBudget
-					}
-					// Warm and edit cells of the same configuration share
-					// one store file, populated by a single cold run below.
-					// The scheduler is part of the options fingerprint, so
-					// each sched gets its own file to keep the populate
-					// pass from mixing fingerprints in one store.
-					var st *store.Store
-					for _, persist := range persists {
-						c := &cell{kernel: k, lvl: lvl, delta: delta, sched: sched, persist: persist, measured: k, opts: opts}
-						if persist != "cold" {
-							if st == nil {
-								mode := "on"
-								if !delta {
-									mode = "off"
-								}
-								path := filepath.Join(*cacheDir,
-									fmt.Sprintf("%s-%s-delta%s-%s.rsgstore", k.Name, lvl, mode, sched))
-								var err error
-								st, err = store.Open(path)
-								if err != nil {
-									fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-									os.Exit(1)
-								}
-								stores = append(stores, st)
-							}
-							c.opts.Store = st
+			opts := analysis.Options{
+				Timeout:   *timeout,
+				Workers:   *workers,
+				MaxVisits: *visits,
+			}
+			if k.Name == "lu" && lvl > rsg.L1 {
+				opts.NodeBudget = *luBudget
+			}
+			// Warm and edit cells of the same configuration share one
+			// store file, populated by a single cold run below.
+			var st *store.Store
+			for _, persist := range persists {
+				c := &cell{kernel: k, lvl: lvl, persist: persist, measured: k, opts: opts}
+				if persist != "cold" {
+					if st == nil {
+						path := filepath.Join(*cacheDir, fmt.Sprintf("%s-%s.rsgstore", k.Name, lvl))
+						var err error
+						st, err = store.Open(path)
+						if err != nil {
+							fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
+							os.Exit(1)
 						}
-						if persist == "edit" {
-							ek, err := k.TailEdit()
-							if err != nil {
-								fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-								os.Exit(1)
-							}
-							c.measured = ek
-						}
-						cells = append(cells, c)
+						stores = append(stores, st)
 					}
+					c.opts.Store = st
 				}
+				if persist == "edit" {
+					ek, err := k.TailEdit()
+					if err != nil {
+						fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
+						os.Exit(1)
+					}
+					c.measured = ek
+				}
+				cells = append(cells, c)
 			}
 		}
 	}
@@ -369,8 +324,8 @@ func main() {
 	if *reps > 1 {
 		head = fmt.Sprintf("time(med/%d)", *reps)
 	}
-	fmt.Printf("%-10s %-4s %-6s %-5s %-7s %-13s %-12s %-12s %-10s %-26s %-9s %-9s %s\n",
-		"code", "lvl", "delta", "sched", "persist", head, "peak-heap", "alloc", "allocs/op", "peak(nodes/links/graphs)", "memo-hit", "pool-hit", "outcome")
+	fmt.Printf("%-10s %-4s %-7s %-13s %-12s %-12s %-10s %-26s %-9s %s\n",
+		"code", "lvl", "persist", head, "peak-heap", "alloc", "allocs/op", "peak(nodes/links/graphs)", "pool-hit", "outcome")
 
 	doc := jsonDoc{
 		Generated:  time.Now().UTC().Format(time.RFC3339),
@@ -381,29 +336,19 @@ func main() {
 		doc.Results = append(doc.Results, cr)
 		last := c.reps[len(c.reps)-1].rep
 		peak := "-"
-		// "-" when no memoizable transfer ran (delta propagation
-		// bypasses the statement memo), not a fake 0%.
-		memoHit := "-"
 		poolHit := "-"
 		if last.Result != nil {
 			peak = fmt.Sprintf("%d/%d/%d", last.Result.Stats.PeakNodes,
 				last.Result.Stats.PeakLinks, last.Result.Stats.PeakGraphs)
-			if cr.MemoHitRate != nil {
-				memoHit = fmt.Sprintf("%.1f%%", 100**cr.MemoHitRate)
-			}
 			poolHit = fmt.Sprintf("%.1f%%", 100*cr.PoolHitRate)
 		}
-		mode := "on"
-		if !c.delta {
-			mode = "off"
-		}
-		fmt.Printf("%-10s %-4s %-6s %-5s %-7s %-13s %-12s %-12s %-10s %-26s %-9s %-9s %s\n",
-			c.kernel.Name, c.lvl, mode, c.sched, c.persist,
+		fmt.Printf("%-10s %-4s %-7s %-13s %-12s %-12s %-10s %-26s %-9s %s\n",
+			c.kernel.Name, c.lvl, c.persist,
 			time.Duration(cr.MedianNs).Round(10*time.Millisecond),
 			fmt.Sprintf("%.1f MB", float64(last.PeakHeapBytes)/(1<<20)),
 			fmt.Sprintf("%.1f MB", float64(cr.MedianAllocBytes)/(1<<20)),
 			fmtCount(cr.MedianAllocs),
-			peak, memoHit, poolHit, cr.Outcome)
+			peak, poolHit, cr.Outcome)
 	}
 
 	if *verdicts {
@@ -472,8 +417,8 @@ func (c *cell) aggregate(workers, visits int) cellResult {
 		Bench:            c.kernel.Name,
 		Level:            c.lvl.String(),
 		Workers:          workers,
-		Delta:            c.delta,
-		Sched:            c.sched.String(),
+		Delta:            true,
+		Sched:            "wto",
 		Persist:          c.persist,
 		Visits:           visits,
 		Reps:             len(c.reps),
@@ -487,22 +432,10 @@ func (c *cell) aggregate(workers, visits int) cellResult {
 	}
 	if last.Result != nil {
 		st := last.Result.Stats
-		// The memo-hit rate is only meaningful when a transfer could
-		// repeat: under delta propagation every Δ-graph is by
-		// construction new to its statement, so unless dirty buckets
-		// forced full recomputes the rate is structurally zero — an
-		// artifact of the engine, not a measurement. Emit no rate then
-		// (and when no memoizable transfer ran at all), not a hard 0.
-		if st.MemoHits+st.MemoMisses > 0 && (!c.delta || st.FullRecomputes > 0) {
-			rate := st.MemoHitRate()
-			cr.MemoHitRate = &rate
-		}
 		cr.PoolHitRate = st.PoolHitRate()
 		cr.MaskSpills = st.Cache.MaskSpills
 		cr.DeltaTransfers = st.DeltaTransfers
-		cr.FullRecomputes = st.FullRecomputes
 		cr.DirtyBuckets = st.DirtyBuckets
-		cr.MemoFull = st.MemoFull
 		cr.VisitsRun = st.Visits
 		cr.StoreMemoHits = st.StoreMemoHits
 		cr.ReusedStmts = st.ReusedStatements
@@ -515,7 +448,10 @@ func (c *cell) aggregate(workers, visits int) cellResult {
 
 // printCompare loads a previous -json snapshot and prints per-cell
 // time and allocation deltas against the current results, matching
-// cells by (bench, level, delta mode, scheduler, persist mode).
+// cells by (bench, level, persist mode). Rows measured on a removed
+// engine path are skipped: the RPO scheduler (sched "rpo", or no sched
+// at all, as in snapshots from before the WTO scheduler) or delta
+// propagation off.
 func printCompare(path string, cur []cellResult) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -525,41 +461,28 @@ func printCompare(path string, cur []cellResult) error {
 	if err := json.Unmarshal(data, &old); err != nil {
 		return fmt.Errorf("%s: %v", path, err)
 	}
-	type key struct {
-		bench, level, sched, persist string
-		delta                        bool
-	}
+	type key struct{ bench, level, persist string }
 	base := make(map[key]cellResult, len(old.Results))
 	for _, r := range old.Results {
-		if r.Persist == "" {
-			// Snapshots from before the persist dimension are all cold.
-			r.Persist = "cold"
-		}
-		if r.Sched == "" {
-			// Snapshots from before the scheduler dimension were measured
-			// on the then-only flat RPO worklist.
-			r.Sched = "rpo"
-		}
-		base[key{r.Bench, r.Level, r.Sched, r.Persist, r.Delta}] = r
-	}
-	fmt.Printf("\ncompare vs %s (generated %s)\n", path, old.Generated)
-	fmt.Printf("%-10s %-4s %-6s %-5s %-22s %-24s %s\n",
-		"code", "lvl", "delta", "sched", "time old->new", "allocs old->new", "speedup")
-	for _, r := range cur {
-		o, ok := base[key{r.Bench, r.Level, r.Sched, r.Persist, r.Delta}]
-		if !ok {
+		if r.Sched != "wto" || !r.Delta {
 			continue
 		}
-		mode := "on"
-		if !r.Delta {
-			mode = "off"
+		base[key{r.Bench, r.Level, r.Persist}] = r
+	}
+	fmt.Printf("\ncompare vs %s (generated %s)\n", path, old.Generated)
+	fmt.Printf("%-10s %-4s %-7s %-22s %-24s %s\n",
+		"code", "lvl", "persist", "time old->new", "allocs old->new", "speedup")
+	for _, r := range cur {
+		o, ok := base[key{r.Bench, r.Level, r.Persist}]
+		if !ok {
+			continue
 		}
 		speed := "-"
 		if r.MedianNs > 0 {
 			speed = fmt.Sprintf("%.2fx", float64(o.MedianNs)/float64(r.MedianNs))
 		}
-		fmt.Printf("%-10s %-4s %-6s %-5s %-22s %-24s %s\n",
-			r.Bench, r.Level, mode, r.Sched,
+		fmt.Printf("%-10s %-4s %-7s %-22s %-24s %s\n",
+			r.Bench, r.Level, r.Persist,
 			fmt.Sprintf("%v -> %v", time.Duration(o.MedianNs).Round(time.Millisecond),
 				time.Duration(r.MedianNs).Round(time.Millisecond)),
 			fmt.Sprintf("%s -> %s", fmtCount(o.MedianAllocs), fmtCount(r.MedianAllocs)),

@@ -13,21 +13,15 @@
 //	-ir             print the lowered IR and CFG
 //	-stmt N         also dump the RSRSG after statement N
 //	-budget N       abort when the abstraction exceeds N live nodes
-//	-stats          print memoization counters (transfer-memo hit rate,
-//	                graphs frozen, digest cache hits, interning) plus
-//	                scheduling counters (requeues, component
+//	-stats          print cache counters (delta transfers, dirty
+//	                buckets, graphs frozen, digest cache hits, interning)
+//	                plus scheduling counters (requeues, component
 //	                stabilizations, widenings) and the visits-per-
 //	                statement histogram; with -progressive, one block
 //	                per level
-//	-sched S        fixpoint scheduler: wto (weak topological order,
-//	                default) or rpo (flat reverse postorder; A/B
-//	                baseline)
 //	-workers N      goroutines for per-graph transfers and bucket
 //	                reductions (0 = GOMAXPROCS, 1 = sequential; results
 //	                are identical at any value)
-//	-nodelta        disable the semi-naïve delta engine and recompute
-//	                every statement transfer from the full in-state
-//	                (results are identical; A/B escape hatch)
 //	-explain        cross-validate the result against randomized concrete
 //	                executions; on a cover failure print the triage report
 //	                (failing statement + rejecting node property) and exit 1.
@@ -78,10 +72,8 @@ func main() {
 	dumpIR := flag.Bool("ir", false, "print the lowered IR")
 	stmt := flag.Int("stmt", -1, "dump the RSRSG after this statement id")
 	budget := flag.Int("budget", 0, "node budget (0 = unlimited)")
-	stats := flag.Bool("stats", false, "print memoization/digest-cache counters")
+	stats := flag.Bool("stats", false, "print delta/digest-cache and scheduling counters")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS, 1 = sequential)")
-	noDelta := flag.Bool("nodelta", false, "disable semi-naïve delta propagation (full recompute per visit)")
-	schedName := flag.String("sched", "wto", "fixpoint scheduler: wto or rpo")
 	cacheDir := flag.String("cache-dir", "", "directory for the persistent analysis store (warm-start and edit-delta re-analysis)")
 	remote := flag.String("remote", "", "shaped daemon base URL; run the analysis via POST /analyze instead of in-process")
 	explain := flag.Bool("explain", false, "cross-validate against concrete traces; print the triage report on a cover failure")
@@ -168,11 +160,7 @@ func main() {
 		fmt.Println(prog)
 	}
 
-	sched, err := analysis.ParseSched(*schedName)
-	if err != nil {
-		fatal(err)
-	}
-	opts := analysis.Options{NodeBudget: *budget, Workers: *workers, NoDelta: *noDelta, Sched: sched}
+	opts := analysis.Options{NodeBudget: *budget, Workers: *workers}
 	if *cacheDir != "" {
 		if err := os.MkdirAll(*cacheDir, 0o755); err != nil {
 			fatal(err)
@@ -237,8 +225,8 @@ func main() {
 	}
 }
 
-// printStats renders one level's counters: memoization, scheduling,
-// and the visits-per-statement histogram (DESIGN.md §14 — scheduling
+// printStats renders one level's counters: caches, scheduling, and the
+// visits-per-statement histogram (DESIGN.md §14 — scheduling
 // regressions show up here without a profiler).
 func printStats(level string, s *analysis.Stats) {
 	fmt.Printf("stats %s: %s\n", level, s.CacheSummary())

@@ -13,7 +13,7 @@
 // The per-graph transfer functions (StepNil, StepLoad, ...) live in
 // stepgraph.go; the Set-level functions here map them over an RSRSG and
 // reduce. The analysis engine calls the per-graph functions directly so
-// it can memoize them per (statement, graph-signature).
+// it can step only the graphs new to a statement's in-state.
 //
 // More complex pointer statements are built from these six plus
 // temporary pvars by the frontend (internal/ir).
@@ -37,8 +37,8 @@ type Context struct {
 	// these are eligible for TOUCH sets.
 	Induction rsg.PvarSet
 	// Diags accumulates analysis diagnostics; may be nil. The counters
-	// reflect first computations: the engine memoizes per-graph
-	// transfers, and cache hits do not recount.
+	// reflect first computations: the engine steps each graph once per
+	// statement, and persistent-store memo hits do not recount.
 	Diags *Diagnostics
 	// DisableCyclePrune turns the NL_PRUNE cycle-link rule off; only the
 	// ablation benchmarks set it.

@@ -1,10 +1,7 @@
 package analysis_test
 
 // Tests for the semi-naïve delta engine (DESIGN.md §8): the delta path
-// must actually carry the run (vacuity guard for the determinism
-// property's delta dimension), NoDelta must force the full path, and
-// the clock-evicting transfer memo must keep results bit-identical
-// when it thrashes.
+// must actually carry the run.
 
 import (
 	"errors"
@@ -15,71 +12,22 @@ import (
 	"repro/internal/rsg"
 )
 
-// TestDeltaPathCarriesRun guards the delta determinism dimension
-// against vacuity: a default bounded Barnes-Hut run must serve
-// statement visits from the delta path, and a NoDelta run must not.
+// TestDeltaPathCarriesRun guards the delta engine against vacuity: a
+// default bounded Barnes-Hut run must serve statement visits from the
+// delta path and re-reduce dirty alias buckets incrementally.
 func TestDeltaPathCarriesRun(t *testing.T) {
 	prog, _ := compileKernel(t, "barneshut")
-	on, err := analysis.Run(prog, analysis.Options{Level: rsg.L1, MaxVisits: 1500, Workers: 1})
+	res, err := analysis.Run(prog, analysis.Options{Level: rsg.L1, MaxVisits: 1500, Workers: 1})
 	if err != nil && !errors.Is(err, analysis.ErrNoConvergence) {
 		t.Fatal(err)
 	}
-	if on.Stats.DeltaTransfers == 0 {
-		t.Fatal("default run never used the delta path; delta determinism checks are vacuous")
+	if res.Stats.DeltaTransfers == 0 {
+		t.Fatal("default run never used the delta path")
 	}
-	if on.Stats.DirtyBuckets == 0 {
+	if res.Stats.DirtyBuckets == 0 {
 		t.Error("delta run re-reduced no alias buckets — the accumulator never saw a delta")
 	}
-	if !strings.Contains(on.Stats.CacheSummary(), "delta(") {
-		t.Errorf("CacheSummary lacks the delta counters: %s", on.Stats.CacheSummary())
+	if !strings.Contains(res.Stats.CacheSummary(), "delta(") {
+		t.Errorf("CacheSummary lacks the delta counters: %s", res.Stats.CacheSummary())
 	}
-
-	off, err := analysis.Run(prog, analysis.Options{Level: rsg.L1, MaxVisits: 1500, Workers: 1, NoDelta: true})
-	if err != nil && !errors.Is(err, analysis.ErrNoConvergence) {
-		t.Fatal(err)
-	}
-	if off.Stats.DeltaTransfers != 0 {
-		t.Errorf("NoDelta run reported %d delta transfers", off.Stats.DeltaTransfers)
-	}
-	if off.Stats.FullRecomputes == 0 {
-		t.Error("NoDelta run reported no full recomputes")
-	}
-	if got, want := fingerprint(on), fingerprint(off); got != want {
-		t.Fatal("delta and NoDelta runs diverged (see TestParallelDeterminism for the full matrix)")
-	}
-}
-
-// TestTransferMemoEviction forces the per-statement transfer memo past
-// its capacity: the clock sweep must actually evict (MemoFull > 0) and
-// the run's per-statement digests must match an uncapped run exactly —
-// eviction may only cost recomputation, never change results. NoDelta
-// keeps the memo hot (the delta path probes each digest once per
-// statement, so a capped memo would simply stop mattering).
-func TestTransferMemoEviction(t *testing.T) {
-	prog, _ := compileKernel(t, "barneshut")
-	ref, err := analysis.Run(prog, analysis.Options{Level: rsg.L1, MaxVisits: 1500, Workers: 1, NoDelta: true})
-	if err != nil && !errors.Is(err, analysis.ErrNoConvergence) {
-		t.Fatal(err)
-	}
-	if ref.Stats.MemoFull != 0 {
-		t.Fatalf("uncapped run evicted %d memo entries", ref.Stats.MemoFull)
-	}
-
-	restore := analysis.SetMemoCapForTest(4)
-	defer restore()
-	capped, err := analysis.Run(prog, analysis.Options{Level: rsg.L1, MaxVisits: 1500, Workers: 1, NoDelta: true})
-	if err != nil && !errors.Is(err, analysis.ErrNoConvergence) {
-		t.Fatal(err)
-	}
-	if capped.Stats.MemoFull == 0 {
-		t.Fatal("memoCap=4 run never evicted; the eviction path is untested")
-	}
-	if capped.Stats.MemoHits == 0 {
-		t.Error("capped memo served no hits at all — cap too small to retain anything")
-	}
-	if got, want := fingerprint(capped), fingerprint(ref); got != want {
-		t.Fatal("memo eviction changed per-statement digests")
-	}
-	t.Logf("capped: hits=%d misses=%d evictions=%d", capped.Stats.MemoHits,
-		capped.Stats.MemoMisses, capped.Stats.MemoFull)
 }

@@ -9,7 +9,6 @@ package analysis
 import (
 	"errors"
 	"fmt"
-	"os"
 	"sync/atomic"
 	"time"
 
@@ -60,26 +59,13 @@ type Options struct {
 	// each unit of parallel work is independent, and results are joined
 	// in canonical digest order (see DESIGN.md §7).
 	Workers int
-	// Sched selects the fixpoint scheduler (DESIGN.md §14): SchedWTO
-	// (the zero value, default) stabilizes each loop component of the
-	// weak topological order before advancing past it; SchedRPO is the
-	// legacy flat reverse-postorder worklist, kept for A/B comparison.
-	// The two reach the same fixed point whenever no widening fires;
-	// the choice is covered by the persistent-store options fingerprint
-	// because widening points differ between them.
-	Sched Sched
-	// NoDelta disables the semi-naïve delta transfer (DESIGN.md §8):
-	// every visit recomputes out = F(in) from the full in-state instead
-	// of folding F(Δin) into the statement's cached out-state. Results
-	// are bit-identical either way; the flag exists for A/B benchmarking
-	// and as an escape hatch.
-	NoDelta bool
 	// Store, when set, backs the run with the persistent
-	// content-addressed analysis store (DESIGN.md §13): the transfer
-	// memo gains a cross-process tier, a repeat run of the same program
-	// warm-starts from its recorded snapshot, and a changed program is
-	// re-analyzed edit-delta — only the changed statements and their
-	// forward cone. Nil disables persistence entirely.
+	// content-addressed analysis store (DESIGN.md §13): per-graph
+	// transfers gain a cross-process memo tier, a repeat run of the
+	// same program warm-starts from its recorded snapshot, and a
+	// changed program is re-analyzed edit-delta — only the changed
+	// statements and their forward cone. Nil disables persistence
+	// entirely.
 	Store *store.Store
 	// forceEditDelta makes the planner take the edit-delta path even
 	// when an exact snapshot would warm-start the run — the zero-edit
@@ -134,8 +120,6 @@ func wrapTimeout(err error, start time.Time, visits int) error {
 type Stats struct {
 	// Visits is the number of statement transfers executed.
 	Visits int
-	// Sched is the scheduler the run used.
-	Sched Sched
 	// Requeues counts worklist pushes that re-enqueued a statement
 	// after it had already been transferred at least once — the
 	// scheduling waste a better iteration order drives down (pushes of
@@ -143,13 +127,11 @@ type Stats struct {
 	Requeues int
 	// ComponentStabilizations counts WTO component iteration rounds:
 	// each round visits the component head (if pending) and sweeps the
-	// body once. 0 under SchedRPO and on loop-free programs.
+	// body once. 0 on loop-free programs.
 	ComponentStabilizations int
 	// Widenings counts visits whose transfer was widened (out-state
-	// unioned with its previous value): visits past widenAfter under
-	// SchedRPO, component-head visits past widenHeadAfter rounds under
-	// SchedWTO. Runs that converge with Widenings == 0 reach a
-	// schedule-independent fixed point.
+	// unioned with its previous value): component-head visits past
+	// widenHeadAfter stabilization rounds.
 	Widenings int
 	// VisitCounts is the per-statement transfer count, indexed by
 	// statement ID (VisitHistogram renders its distribution).
@@ -165,33 +147,22 @@ type Stats struct {
 	FinalNodes  int
 	FinalLinks  int
 	FinalGraphs int
-	// MemoHits/MemoMisses count per-graph transfer-memo lookups: a hit
-	// means the statement's abstract semantics were skipped because the
-	// input graph's digest was seen at this statement before.
-	MemoHits   int
-	MemoMisses int
 	// Workers is the resolved worker count of the run (Options.Workers
 	// after defaulting 0 to GOMAXPROCS).
 	Workers int
-	// ParallelTransfers counts statement transfers whose memo misses
-	// were fanned out over the worker pool; ParallelJobs counts the
-	// per-graph jobs those fan-outs dispatched.
+	// ParallelTransfers counts statement transfers whose per-graph
+	// steps were fanned out over the worker pool; ParallelJobs counts
+	// the per-graph jobs those fan-outs dispatched.
 	ParallelTransfers int
 	ParallelJobs      int
-	// DeltaTransfers counts statement visits served by the semi-naïve
-	// delta path (only new in-graphs stepped, only dirty alias buckets
-	// re-reduced); FullRecomputes counts visits of delta-eligible ops
-	// that recomputed F(in) from scratch (NoDelta runs, the widening
-	// fallback, TOUCH-erasure fallback). DirtyBuckets totals the alias
-	// buckets re-reduced across all delta visits.
+	// DeltaTransfers counts the visits of filtering and heap-mutating
+	// statements, each served by the semi-naïve delta path (only new
+	// in-graphs stepped, only dirty alias buckets re-reduced).
+	// DirtyBuckets totals the alias buckets re-reduced across them.
 	DeltaTransfers int
-	FullRecomputes int
 	DirtyBuckets   int
-	// MemoFull counts transfer-memo insertions that evicted another
-	// entry because the statement's cache was at capacity.
-	MemoFull int
-	// StoreMemoHits counts in-memory memo misses that were served from
-	// the persistent store's transfer-memo tier instead of recomputed.
+	// StoreMemoHits counts per-graph transfers served from the
+	// persistent store's transfer-memo tier instead of recomputed.
 	StoreMemoHits int
 	// ReusedStatements counts statements whose out-states were restored
 	// from a store snapshot (every visited statement on a warm start;
@@ -218,16 +189,6 @@ type Stats struct {
 	SharedTallies bool
 }
 
-// MemoHitRate returns the fraction of per-graph transfers served from
-// the memo, or 0 when no memoizable transfer ran.
-func (s *Stats) MemoHitRate() float64 {
-	total := s.MemoHits + s.MemoMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.MemoHits) / float64(total)
-}
-
 // CacheSummary renders the memoization counters in one line.
 func (s *Stats) CacheSummary() string {
 	shared := ""
@@ -235,9 +196,8 @@ func (s *Stats) CacheSummary() string {
 		shared = " [shared: concurrent runs, pool/spill tallies over-count]"
 	}
 	return fmt.Sprintf(
-		"memo(hits=%d misses=%d rate=%.1f%%) delta(transfers=%d full=%d dirty=%d memo-full=%d) frozen=%d digests(computed=%d cached=%d) intern(hits=%d misses=%d) pool(gets=%d news=%d hit=%.1f%%) mask-spills=%d%s",
-		s.MemoHits, s.MemoMisses, 100*s.MemoHitRate(),
-		s.DeltaTransfers, s.FullRecomputes, s.DirtyBuckets, s.MemoFull,
+		"delta(transfers=%d dirty=%d) frozen=%d digests(computed=%d cached=%d) intern(hits=%d misses=%d) pool(gets=%d news=%d hit=%.1f%%) mask-spills=%d%s",
+		s.DeltaTransfers, s.DirtyBuckets,
 		s.Cache.GraphsFrozen, s.Cache.DigestsComputed, s.Cache.DigestCacheHits,
 		s.Cache.InternHits, s.Cache.InternMisses,
 		s.Cache.PoolGets, s.Cache.PoolNews, 100*s.PoolHitRate(), s.Cache.MaskSpills, shared)
@@ -245,8 +205,8 @@ func (s *Stats) CacheSummary() string {
 
 // SchedSummary renders the scheduling counters in one line.
 func (s *Stats) SchedSummary() string {
-	return fmt.Sprintf("sched(%s: visits=%d requeues=%d comp-stabs=%d widenings=%d)",
-		s.Sched, s.Visits, s.Requeues, s.ComponentStabilizations, s.Widenings)
+	return fmt.Sprintf("sched(visits=%d requeues=%d comp-stabs=%d widenings=%d)",
+		s.Visits, s.Requeues, s.ComponentStabilizations, s.Widenings)
 }
 
 // VisitHistogram renders the visits-per-statement distribution in
@@ -334,7 +294,6 @@ func Run(prog *ir.Program, opts Options) (*Result, error) {
 		Level:   opts.Level,
 		Out:     make(map[int]*rsrsg.Set, len(prog.Stmts)),
 	}
-	res.Stats.Sched = opts.Sched
 	start := time.Now()
 	// The digest/freeze/intern counters come from the run's private
 	// recorder (eng.rec, threaded through rsrsg.Options.Stats), so they
@@ -360,14 +319,10 @@ func Run(prog *ir.Program, opts Options) (*Result, error) {
 		activeRuns.Add(-1)
 		res.Stats.SharedTallies = shared
 		res.Stats.Workers = eng.workers
-		res.Stats.MemoHits = int(eng.memoHits.Load())
-		res.Stats.MemoMisses = int(eng.memoMisses.Load())
 		res.Stats.ParallelTransfers = int(eng.parallelTransfers.Load())
 		res.Stats.ParallelJobs = int(eng.parallelJobs.Load())
 		res.Stats.DeltaTransfers = eng.deltaTransfers
-		res.Stats.FullRecomputes = eng.fullRecomputes
 		res.Stats.DirtyBuckets = eng.dirtyBuckets
-		res.Stats.MemoFull = eng.memoFull
 		res.Stats.StoreMemoHits = int(eng.storeMemoHits.Load())
 	}()
 
@@ -421,17 +376,9 @@ func Run(prog *ir.Program, opts Options) (*Result, error) {
 	}
 
 	// Scheduling (DESIGN.md §14): the WTO recursive strategy stabilizes
-	// each loop component before the order advances past it; the legacy
-	// flat RPO min-heap stays behind Options.Sched for A/B. Either way
-	// changes ripple forward through the CFG before loops re-fire.
-	var sched worklist
-	var wto *wtoSched
-	if opts.Sched == SchedRPO {
-		sched = newRPOSched(prog)
-	} else {
-		wto = newWTOSched(prog)
-		sched = wto
-	}
+	// each loop component before the order advances past it, so changes
+	// ripple forward through the CFG before loops re-fire.
+	sched := newWTOSched(prog)
 	visits := make([]int, len(prog.Stmts))
 	inState := make(map[int]*rsrsg.Set, len(prog.Stmts))
 	push := func(id int) {
@@ -457,7 +404,6 @@ func Run(prog *ir.Program, opts Options) (*Result, error) {
 		pushSuccs(prog.Entry)
 	}
 
-	debug := os.Getenv("REPRO_DEBUG") != ""
 	var contribs []*rsrsg.Set
 	visit := func(id int) error {
 		if res.Stats.Visits >= opts.MaxVisits {
@@ -467,19 +413,6 @@ func Run(prog *ir.Program, opts Options) (*Result, error) {
 			return wrapTimeout(ErrTimeout, start, res.Stats.Visits)
 		}
 		res.Stats.Visits++
-		if debug && res.Stats.Visits%50 == 0 {
-			// Totals come from the running counters; only the
-			// biggest-statement probe still scans, and only here.
-			big, bigID := 0, -1
-			for sid, s := range res.Out {
-				if s.Len() > big {
-					big, bigID = s.Len(), sid
-				}
-			}
-			fmt.Printf("[debug] visit=%d t=%v stmt=%d (%s) total nodes=%d graphs=%d biggest stmt=%d with %d graphs\n",
-				res.Stats.Visits, time.Since(start).Round(time.Millisecond),
-				id, prog.Stmt(id), curNodes, curGraphs, bigID, big)
-		}
 
 		stmt := prog.Stmt(id)
 		ctx := &absem.Context{
@@ -531,18 +464,12 @@ func Run(prog *ir.Program, opts Options) (*Result, error) {
 			contribution := po
 			if opts.Level.UseTouch() {
 				if erase := exitedInduction(prog, pred, id, opts.TouchAllPvars); !erase.Empty() {
-					// TOUCH erasure rewrites graphs rather than filtering
-					// members, so the delta path's per-part bookkeeping does
-					// not reach through it; the statement permanently falls
-					// back to full recomputation (DESIGN.md §8). The erase
-					// itself is memoized per edge — its ipvar set is static,
-					// so the result is a pure function of the input set.
-					eng.markNoDelta(id)
-					if opts.NoDelta {
-						contribution = absem.EraseTouch(ctx, po, erase)
-					} else {
-						contribution = eng.eraseMemo.Apply(ctx, eraseEdgeKey(pred, id), po, erase)
-					}
+					// TOUCH erasure rewrites the predecessor's contribution
+					// before it is merged, so the in-state delta below sees
+					// erased graphs like any others (DESIGN.md §8). The erase
+					// is memoized per edge: its ipvar set is static, so the
+					// result is a pure function of the input set.
+					contribution = eng.eraseMemo.Apply(ctx, eraseEdgeKey(pred, id), po, erase)
 				}
 			}
 			contribs = append(contribs, contribution)
@@ -553,26 +480,20 @@ func Run(prog *ir.Program, opts Options) (*Result, error) {
 		}
 
 		// Standard dataflow: out = F(in), computed semi-naïvely from the
-		// in-state delta when the statement is eligible. If a statement
-		// is revisited pathologically often (transfer non-monotonicity
-		// making the out-state oscillate), fall back to accumulating its
-		// out-states — a widening that forces monotone growth and hence
-		// stabilization. SchedRPO widens any statement past widenAfter
-		// visits; SchedWTO widens component heads past widenHeadAfter
-		// stabilization rounds (body statements cannot out-oscillate a
-		// stabilized head: each round re-fires them at most once, so
-		// bounding the head's rounds bounds them too). Widening composes
-		// the previous out-state into the new one, so such a statement
-		// leaves the delta path (which tracks F(in) only) for good; the
-		// switch is one-way, keeping the delta caches complete whenever
-		// they are consulted.
+		// in-state delta. If a component is re-stabilized pathologically
+		// often (transfer non-monotonicity making the out-state
+		// oscillate), its head's out-states accumulate instead — a
+		// widening that forces monotone growth and hence stabilization.
+		// Heads widen past widenHeadAfter stabilization rounds; body
+		// statements cannot out-oscillate a stabilized head, since each
+		// round re-fires them at most once. The widening union is applied
+		// after F(in), so the delta caches keep tracking F(in) alone.
 		visits[id]++
-		widen := sched.widenNow(id, visits[id])
+		widen := sched.widen[id]
 		if widen {
 			res.Stats.Widenings++
-			eng.markNoDelta(id)
 		}
-		out, err := eng.transferAny(ctx, stmt, in, delta)
+		out, err := eng.transferDelta(ctx, stmt, in, delta)
 		if err != nil {
 			return wrapTimeout(err, start, res.Stats.Visits)
 		}
@@ -597,9 +518,7 @@ func Run(prog *ir.Program, opts Options) (*Result, error) {
 
 	err := sched.run(visit)
 	res.Stats.VisitCounts = visits
-	if wto != nil {
-		res.Stats.ComponentStabilizations = wto.stabs
-	}
+	res.Stats.ComponentStabilizations = sched.stabs
 	if err != nil {
 		if errors.Is(err, ErrNoConvergence) {
 			return res, eng.persistFinish(plan, prog, res, ErrNoConvergence)
@@ -609,12 +528,6 @@ func Run(prog *ir.Program, opts Options) (*Result, error) {
 	res.finalSize(curNodes, curLinks, curGraphs)
 	return res, eng.persistFinish(plan, prog, res, nil)
 }
-
-// widenAfter is the visit count past which a statement's out-state is
-// widened by union with its previous value (see the worklist loop). A
-// package-level constant because the options fingerprint covers it: a
-// change here changes results, which must invalidate stored snapshots.
-const widenAfter = 1000
 
 // eraseEdgeKey packs a CFG edge into the EraseMemo key space.
 func eraseEdgeKey(pred, id int) uint64 {
@@ -645,22 +558,6 @@ func exitedInduction(prog *ir.Program, pred, id int, all bool) rsg.PvarSet {
 	}
 	return out
 }
-
-// transferMemo caches the per-graph transfer results of every
-// statement, keyed by the input graph's canonical digest (graphs inside
-// an RSRSG are frozen, so the digest is memoized and the lookup is a
-// 16-byte comparison — no signature strings are built or hashed).
-// During the fixed point the same graphs flow through a statement many
-// times; only the delta of each round is computed afresh. The
-// per-statement context (level, induction sets, ablation flags) is
-// constant within one run, so the digest fully determines the result.
-type transferMemo map[int]*stmtMemo
-
-// memoCap bounds the cached input graphs per statement; past it the
-// memo evicts with a clock (second-chance) sweep instead of refusing
-// inserts, so long runs keep their hit rate. A variable (not a const)
-// only so the eviction test can shrink it.
-var memoCap = 8192
 
 // activeRuns/runEpoch let Run detect overlapping analyses for the
 // Stats.SharedTallies flag: activeRuns counts runs currently inside

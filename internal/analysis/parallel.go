@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -19,9 +20,9 @@ import (
 // per-statement worklist order is load-bearing for convergence speed —
 // but the two hot inner loops fan out over a worker pool:
 //
-//   1. per-graph abstract transfers: the graphs of a statement's
-//      incoming RSRSG are independent frozen inputs, so their memo
-//      misses are dispatched as parallel jobs;
+//   1. per-graph abstract transfers: the new graphs of a statement's
+//      in-state delta are independent frozen inputs, so their steps
+//      are dispatched as parallel jobs;
 //   2. per-alias-bucket reductions inside rsrsg (Reduce/MergeDelta/
 //      UnionAll), reached through the rsrsg.Options.Exec hook.
 //
@@ -32,30 +33,27 @@ import (
 // diagnostics are folded back in job-index order. Workers=1 and
 // Workers=N therefore produce bit-identical per-statement digests.
 
-// parallelFanoutMin is the minimum number of memo misses at one
+// parallelFanoutMin is the minimum number of graphs to step at one
 // statement before the engine pays the goroutine fan-out cost; below
-// it the misses run inline on the coordinator.
+// it the steps run inline on the coordinator.
 const parallelFanoutMin = 2
 
 // engineRun is the per-Run mutable state shared between the worklist
-// coordinator and the transfer workers. The memo is only touched by
-// the coordinator (probes before fan-out, inserts after join); the
-// counters are atomics because rsrsg bucket tasks also run on workers.
+// coordinator and the transfer workers. The delta caches and the store
+// probes are only touched by the coordinator; the counters are atomics
+// because rsrsg bucket tasks also run on workers.
 type engineRun struct {
 	opts       Options
 	reduceOpts rsrsg.Options
 	workers    int
 	ctx        context.Context
 	cancel     context.CancelCauseFunc
-	memo       transferMemo
 	// rec is the run's private digest/freeze/intern recorder, threaded
 	// through reduceOpts.Stats into every reduction and restore of this
 	// run; Run snapshots it into Stats.Cache, which is what keeps cache
 	// stats exact when several Runs overlap in one process.
 	rec *rsg.RunStats
 
-	memoHits          atomic.Int64
-	memoMisses        atomic.Int64
 	parallelTransfers atomic.Int64
 	parallelJobs      atomic.Int64
 	storeMemoHits     atomic.Int64
@@ -63,36 +61,28 @@ type engineRun struct {
 	// Persistent memo tier (persist.go), armed by planPersist when
 	// Options.Store is set: stmtKeys holds each statement's transfer key
 	// (options fingerprint + context-free transfer digest). Probes and
-	// write-throughs run on the coordinator only, like the in-memory
-	// memo.
+	// write-throughs run on the coordinator only.
 	store    *store.Store
 	stmtKeys []store.Key
 
 	// Semi-naïve transfer state (DESIGN.md §8), coordinator-only: the
-	// worklist loop is sequential, so plain fields suffice. noDelta
-	// lists statements permanently retired to the full path (widening,
-	// TOUCH-erasure edges, missing delta state); delta holds each
-	// eligible statement's cached transfer state.
-	noDelta   map[int]struct{}
+	// worklist loop is sequential, so plain fields suffice. delta holds
+	// each statement's cached transfer state. The join cache
+	// (reduceOpts.Joins) is shared across every in-state merge and
+	// accumulator re-reduction of the run: the same canonical graph
+	// pairs recur at successive program points as out-states propagate
+	// through the CFG, so pairwise compat/join work done for one
+	// statement is reused by its successors.
 	delta     map[int]*stmtDelta
 	eraseMemo absem.EraseMemo
-	// joinCache (reduceOpts.Joins) is shared across every in-state
-	// merge and accumulator re-reduction of a delta run: the same
-	// canonical graph pairs recur at successive program points as
-	// out-states propagate through the CFG, so pairwise compat/join
-	// work done for one statement is reused by its successors. Nil on
-	// NoDelta runs, which measure the stateless full path.
-	joinCache *rsrsg.JoinCache
 
 	deltaTransfers int
-	fullRecomputes int
 	dirtyBuckets   int
-	memoFull       int
 }
 
 // stmtDelta is one statement's cached semi-naïve transfer state.
 type stmtDelta struct {
-	// acc accumulates a memoizable op's out-state incrementally; parts
+	// acc accumulates a heap-mutating op's out-state incrementally; parts
 	// maps each live in-graph digest to its transfer part so members
 	// joined away by the in-state reduction can be retracted from the
 	// accumulator by refcount.
@@ -101,24 +91,6 @@ type stmtDelta struct {
 	// filtered is an Assume op's cached filter result, updated in place
 	// from the in-state membership delta.
 	filtered *rsrsg.Set
-}
-
-// useDelta reports whether the statement is still on the delta path.
-func (e *engineRun) useDelta(id int) bool {
-	if e.opts.NoDelta {
-		return false
-	}
-	_, off := e.noDelta[id]
-	return !off
-}
-
-// markNoDelta permanently retires a statement from the delta path and
-// drops its cached state. The switch is one-way: a statement whose
-// in-state deltas were not consumed even once has stale caches, so it
-// must never rejoin.
-func (e *engineRun) markNoDelta(id int) {
-	e.noDelta[id] = struct{}{}
-	delete(e.delta, id)
 }
 
 func (e *engineRun) deltaState(id int) *stmtDelta {
@@ -141,9 +113,7 @@ func newEngineRun(opts Options, start time.Time) *engineRun {
 	e := &engineRun{
 		opts:    opts,
 		workers: workers,
-		memo:    make(transferMemo),
 		rec:     &rsg.RunStats{},
-		noDelta: make(map[int]struct{}),
 		delta:   make(map[int]*stmtDelta),
 	}
 	ctx, cancel := context.WithCancelCause(context.Background())
@@ -164,19 +134,11 @@ func newEngineRun(opts Options, start time.Time) *engineRun {
 	e.reduceOpts = rsrsg.Options{
 		DisableJoin: opts.DisableJoin,
 		MaxGraphs:   opts.MaxGraphsPerStmt,
+		Joins:       rsrsg.NewJoinCache(),
 		Stats:       e.rec,
 	}
 	if workers > 1 {
 		e.reduceOpts.Exec = e.exec
-	}
-	if !opts.NoDelta {
-		// The join cache belongs to the semi-naïve subsystem: delta runs
-		// reuse pairwise compat/join work across visits and statements,
-		// while -nodelta measures the stateless PR 2 path, which
-		// recomputes every reduction from scratch. Results are identical
-		// either way — the cached primitives are pure functions.
-		e.joinCache = rsrsg.NewJoinCache()
-		e.reduceOpts.Joins = e.joinCache
 	}
 	return e
 }
@@ -232,67 +194,21 @@ func (e *engineRun) runParallel(n int, f func(int)) {
 	wg.Wait()
 }
 
-// transferAny computes out = F(in) for one statement, through the
-// semi-naïve delta path when the statement is eligible and through the
-// full recomputation otherwise. A delta attempt that finds its cached
-// state unusable retires the statement and recomputes in full; either
-// way the result digest is identical (DESIGN.md §8).
-func (e *engineRun) transferAny(ctx *absem.Context, s *ir.Stmt, in *rsrsg.Set, d rsrsg.Delta) (*rsrsg.Set, error) {
-	if e.useDelta(s.ID) {
-		out, ok, err := e.transferDelta(ctx, s, in, d)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return out, nil
-		}
-		e.markNoDelta(s.ID)
-	}
-	return e.transfer(ctx, s, in)
-}
-
-// transfer computes out = F(in) for one statement from the full
-// in-state: every member graph's part is recalled or recomputed, then
-// joined. This is the fallback path of the semi-naïve engine and the
-// only path under Options.NoDelta.
-func (e *engineRun) transfer(ctx *absem.Context, s *ir.Stmt, in *rsrsg.Set) (*rsrsg.Set, error) {
-	switch s.Op {
-	case ir.OpAssumeNull:
-		e.fullRecomputes++
-		return absem.AssumeNullSym(ctx, in, s.XSym), nil
-	case ir.OpAssumeNonNull:
-		e.fullRecomputes++
-		return absem.AssumeNonNullSym(ctx, in, s.XSym), nil
-	case ir.OpNil, ir.OpMalloc, ir.OpCopy, ir.OpSelNil, ir.OpSelCopy, ir.OpLoad, ir.OpFree:
-		e.fullRecomputes++
-		parts, err := e.partsFor(ctx, s, in.Graphs())
-		if err != nil {
-			return nil, err
-		}
-		return rsrsg.UnionAll(e.opts.Level, parts, e.reduceOpts), nil
-	default: // OpNoop, OpEntry, OpExit
-		return in.Clone(), nil
-	}
-}
-
 // transferDelta computes out = F(in) semi-naïvely: only the in-state
 // delta's Added graphs are stepped, their parts folded into the
 // statement's accumulator, Removed members' parts retracted, and only
 // the dirtied alias buckets re-reduced. Per-bucket reduction is a pure
 // function of the bucket's entry set, so the result is bit-identical
-// to the full path's UnionAll over every member's part. Returns
-// ok=false (without touching the cached state) when a removed member's
-// part was never recorded — the caller then retires the statement and
-// recomputes in full.
-func (e *engineRun) transferDelta(ctx *absem.Context, s *ir.Stmt, in *rsrsg.Set, d rsrsg.Delta) (*rsrsg.Set, bool, error) {
+// to a UnionAll over every member's part (DESIGN.md §8). A removed
+// member whose part was never recorded breaks that invariant and is
+// reported as an internal error.
+func (e *engineRun) transferDelta(ctx *absem.Context, s *ir.Stmt, in *rsrsg.Set, d rsrsg.Delta) (*rsrsg.Set, error) {
 	switch s.Op {
 	case ir.OpAssumeNull, ir.OpAssumeNonNull:
 		ds := e.deltaState(s.ID)
 		if ds.filtered == nil {
-			// First visit: seed the cache with the full filter. The
-			// engine only consults the delta path from a statement's
-			// first visit onward, so later visits fold pure membership
-			// deltas into this seed.
+			// First visit: seed the cache with the full filter. Later
+			// visits fold pure membership deltas into this seed.
 			if s.Op == ir.OpAssumeNull {
 				ds.filtered = absem.AssumeNullSym(ctx, in, s.XSym)
 			} else {
@@ -304,7 +220,7 @@ func (e *engineRun) transferDelta(ctx *absem.Context, s *ir.Stmt, in *rsrsg.Set,
 			absem.AssumeNonNullDeltaSym(ctx, ds.filtered, d.Added, d.Removed, s.XSym)
 		}
 		e.deltaTransfers++
-		return ds.filtered.Clone(), true, nil
+		return ds.filtered.Clone(), nil
 	case ir.OpNil, ir.OpMalloc, ir.OpCopy, ir.OpSelNil, ir.OpSelCopy, ir.OpLoad, ir.OpFree:
 		ds := e.deltaState(s.ID)
 		if ds.acc == nil {
@@ -315,7 +231,7 @@ func (e *engineRun) transferDelta(ctx *absem.Context, s *ir.Stmt, in *rsrsg.Set,
 		for _, dig := range d.Removed {
 			p, ok := ds.parts[dig]
 			if !ok {
-				return nil, false, nil
+				return nil, fmt.Errorf("analysis: internal error: statement %d dropped in-state member %v with no recorded transfer part", s.ID, dig)
 			}
 			removeParts = append(removeParts, p)
 		}
@@ -324,7 +240,7 @@ func (e *engineRun) transferDelta(ctx *absem.Context, s *ir.Stmt, in *rsrsg.Set,
 		}
 		addParts, err := e.partsFor(ctx, s, d.Added)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		for i, g := range d.Added {
 			ds.parts[g.Digest()] = addParts[i]
@@ -332,27 +248,23 @@ func (e *engineRun) transferDelta(ctx *absem.Context, s *ir.Stmt, in *rsrsg.Set,
 		out, dirty := ds.acc.MergeDeltaDirty(addParts, removeParts, e.reduceOpts)
 		e.deltaTransfers++
 		e.dirtyBuckets += dirty
-		return out, true, nil
+		return out, nil
 	default: // OpNoop, OpEntry, OpExit
-		return in.Clone(), true, nil
+		return in.Clone(), nil
 	}
 }
 
-// partsFor recalls or computes the per-graph transfer parts for the
-// given (frozen) input graphs of a memoizable statement. Memo probes
-// run on the coordinator; the misses are dispatched over the worker
-// pool when there are enough of them. Each job steps one graph through
-// the abstract semantics into its pre-assigned slot with a private
-// diagnostics block and no nested executor; the coordinator then folds
-// diagnostics and memo inserts back in input order, so the parts (and
-// everything joined from them) are worker-count independent. Shared by
-// the full transfer (all in-graphs) and the delta transfer (Δin only).
+// partsFor computes the per-graph transfer parts for the given
+// (frozen) input graphs of a heap-mutating statement: the new members
+// of its in-state delta. With a store configured, each graph first
+// probes the store's transfer-memo tier. The remaining steps are
+// dispatched over the worker pool when there are enough of them. Each
+// job steps one graph through the abstract semantics into its
+// pre-assigned slot with a private diagnostics block and no nested
+// executor; the coordinator then folds diagnostics and store
+// write-throughs back in input order, so the parts (and everything
+// joined from them) are worker-count independent.
 func (e *engineRun) partsFor(ctx *absem.Context, s *ir.Stmt, graphs []*rsg.Graph) ([]*rsrsg.Set, error) {
-	cache := e.memo[s.ID]
-	if cache == nil {
-		cache = newStmtMemo()
-		e.memo[s.ID] = cache
-	}
 	type job struct {
 		g    *rsg.Graph
 		dig  rsg.Digest
@@ -362,19 +274,11 @@ func (e *engineRun) partsFor(ctx *absem.Context, s *ir.Stmt, graphs []*rsg.Graph
 	var jobs []job
 	for _, g := range graphs {
 		dig := g.Digest()
-		if part, ok := cache.get(dig); ok {
-			e.memoHits.Add(1)
-			parts = append(parts, part)
-			continue
-		}
-		e.memoMisses.Add(1)
-		// Second tier: the persistent store. A hit rebuilds the part
-		// from content-addressed graphs (digest-verified on decode) and
-		// fills the in-memory cache so repeats stay off the disk.
+		// The persistent store rebuilds a hit's part from
+		// content-addressed graphs (digest-verified on decode).
 		if e.store != nil {
 			if part, ok := e.storeMemoGet(s.ID, dig); ok {
 				e.storeMemoHits.Add(1)
-				cache.put(dig, part)
 				parts = append(parts, part)
 				continue
 			}
@@ -413,72 +317,12 @@ func (e *engineRun) partsFor(ctx *absem.Context, s *ir.Stmt, graphs []*rsg.Graph
 			parts[j.slot] = stepGraphSet(ctx, s, j.g)
 		}
 	}
-	for _, j := range jobs {
-		if cache.put(j.dig, parts[j.slot]) {
-			e.memoFull++
-		}
-		if e.store != nil {
+	if e.store != nil {
+		for _, j := range jobs {
 			e.storeMemoPut(s.ID, j.dig, parts[j.slot])
 		}
 	}
 	return parts, nil
-}
-
-// stmtMemo is one statement's transfer memo: input-graph digest →
-// transfer part. Past memoCap entries it evicts with a clock
-// (second-chance) sweep: probes mark their slot used; an insert at
-// capacity advances the hand, clearing used marks, and replaces the
-// first cold slot — within two laps one is guaranteed. Memo values are
-// pure functions of the digest, so eviction can only cost
-// recomputation, never change results.
-type stmtMemo struct {
-	m    map[rsg.Digest]*memoSlot
-	ring []rsg.Digest
-	hand int
-}
-
-type memoSlot struct {
-	part *rsrsg.Set
-	used bool
-}
-
-func newStmtMemo() *stmtMemo {
-	return &stmtMemo{m: make(map[rsg.Digest]*memoSlot)}
-}
-
-func (c *stmtMemo) get(dig rsg.Digest) (*rsrsg.Set, bool) {
-	slot, ok := c.m[dig]
-	if !ok {
-		return nil, false
-	}
-	slot.used = true
-	return slot.part, true
-}
-
-// put inserts dig → part and reports whether a resident entry was
-// evicted to make room.
-func (c *stmtMemo) put(dig rsg.Digest, part *rsrsg.Set) bool {
-	if _, ok := c.m[dig]; ok {
-		return false
-	}
-	if len(c.ring) < memoCap {
-		c.ring = append(c.ring, dig)
-		c.m[dig] = &memoSlot{part: part}
-		return false
-	}
-	for {
-		victim := c.m[c.ring[c.hand]]
-		if victim.used {
-			victim.used = false
-			c.hand = (c.hand + 1) % len(c.ring)
-			continue
-		}
-		delete(c.m, c.ring[c.hand])
-		c.ring[c.hand] = dig
-		c.hand = (c.hand + 1) % len(c.ring)
-		c.m[dig] = &memoSlot{part: part}
-		return true
-	}
 }
 
 // stepGraphSet steps one graph through a statement's abstract

@@ -92,18 +92,12 @@ func fingerprint(res *analysis.Result) string {
 }
 
 // TestParallelDeterminism runs the determinism property over the
-// fixture programs x levels L1-L3 x scheduler {wto,rpo} x Workers in
-// {1,2,4,8} x delta propagation {on,off}: within one scheduler every
-// configuration must produce identical per-statement digest sets, and
-// a repeated run of the last configuration must agree with the first
-// (no hidden schedule dependence). Across schedulers the fingerprints
-// are also compared — but only on fixtures that run to their fixed
-// point without widening, where the fixed point is schedule-
-// independent; bounded kernels stop at a visit-count prefix whose
-// contents legitimately differ per scheduler. The heavy kernels run
-// under a visit bound — partial fixed points exercise the same code
-// paths and must be just as deterministic, and they catch any
-// delta/full divergence long before the fixed point would mask it.
+// fixture programs x levels L1-L3 x Workers in {1,2,4,8} ({1,4} under
+// -short): every configuration must produce identical per-statement
+// digest sets, and a repeated run of the last configuration must agree
+// with the first (no hidden dependence on goroutine interleaving). The
+// heavy kernels run under a visit bound — partial fixed points
+// exercise the same code paths and must be just as deterministic.
 func TestParallelDeterminism(t *testing.T) {
 	fixtures := []struct {
 		name      string
@@ -113,89 +107,40 @@ func TestParallelDeterminism(t *testing.T) {
 		{"fig1", func(t *testing.T) *ir.Program { return compileSrc(t, fig1PipelineSource) }, 0},
 		{"barneshut", func(t *testing.T) *ir.Program { p, _ := compileKernel(t, "barneshut"); return p }, 300},
 		{"lu", func(t *testing.T) *ir.Program { p, _ := compileKernel(t, "lu"); return p }, 300},
-		// popFreeSource exercises the OpFree transfer (and its delta memo
-		// path) in the matrix: deallocation must be just as schedule-
-		// independent as the constructive sentences.
+		// popFreeSource exercises the OpFree transfer (and its delta
+		// path) in the matrix: deallocation must be just as
+		// deterministic as the constructive sentences.
 		{"popfree", func(t *testing.T) *ir.Program { return compileSrc(t, popFreeSource) }, 0},
 	}
-	type config struct {
-		sched   analysis.Sched
-		workers int
-		noDelta bool
-	}
-	scheds := []analysis.Sched{analysis.SchedWTO, analysis.SchedRPO}
-	var configs []config
-	for _, sched := range scheds {
-		if testing.Short() {
-			for _, w := range []int{1, 4} {
-				configs = append(configs, config{sched, w, false}, config{sched, w, true})
-			}
-		} else {
-			for _, w := range []int{1, 2, 4, 8} {
-				configs = append(configs, config{sched, w, false})
-			}
-			configs = append(configs, config{sched, 1, true}, config{sched, 8, true})
-		}
+	workers := []int{1, 2, 4, 8}
+	if testing.Short() {
+		workers = []int{1, 4}
 	}
 	for _, fx := range fixtures {
 		t.Run(fx.name, func(t *testing.T) {
 			prog := fx.prog(t)
 			for _, lvl := range []rsg.Level{rsg.L1, rsg.L2, rsg.L3} {
-				want := map[analysis.Sched]string{}
-				wantErr := map[analysis.Sched]error{}
-				widenings := map[analysis.Sched]int{}
-				first := map[analysis.Sched]config{}
-				for _, cfg := range configs {
+				run := func(w int) string {
 					res, err := analysis.Run(prog, analysis.Options{
-						Level: lvl, MaxVisits: fx.maxVisits, Sched: cfg.sched,
-						Workers: cfg.workers, NoDelta: cfg.noDelta,
+						Level: lvl, MaxVisits: fx.maxVisits, Workers: w,
 					})
-					if fx.maxVisits > 0 && errors.Is(err, analysis.ErrNoConvergence) {
-						err = nil // bounded run: the partial state is the fixture
+					if err != nil && !(fx.maxVisits > 0 && errors.Is(err, analysis.ErrNoConvergence)) {
+						t.Fatalf("%s %v workers=%d: %v", fx.name, lvl, w, err)
 					}
-					ref, seen := first[cfg.sched]
-					if !seen {
-						first[cfg.sched] = cfg
-						wantErr[cfg.sched] = err
-						widenings[cfg.sched] = res.Stats.Widenings
-					} else if (err == nil) != (wantErr[cfg.sched] == nil) {
-						t.Fatalf("%s %v: %+v error %v, %+v error %v",
-							fx.name, lvl, ref, wantErr[cfg.sched], cfg, err)
-					}
-					if err != nil {
-						t.Fatalf("%s %v %+v: %v", fx.name, lvl, cfg, err)
-					}
-					got := fingerprint(res)
-					if !seen {
-						want[cfg.sched] = got
-						continue
-					}
-					if got != want[cfg.sched] {
-						t.Fatalf("%s %v: %+v diverged from %+v:\n--- want\n%s\n--- got\n%s",
-							fx.name, lvl, cfg, ref, want[cfg.sched], got)
+					return fingerprint(res)
+				}
+				want := run(workers[0])
+				for _, w := range workers[1:] {
+					if got := run(w); got != want {
+						t.Fatalf("%s %v: workers=%d diverged from workers=%d:\n--- want\n%s\n--- got\n%s",
+							fx.name, lvl, w, workers[0], want, got)
 					}
 				}
-				// Cross-scheduler agreement: a run that converges without
-				// widening reaches the schedule-independent fixed point, so
-				// WTO and RPO must land on identical digests there.
-				if fx.maxVisits == 0 && widenings[analysis.SchedWTO] == 0 && widenings[analysis.SchedRPO] == 0 {
-					if want[analysis.SchedWTO] != want[analysis.SchedRPO] {
-						t.Fatalf("%s %v: wto and rpo fixed points diverged with no widening:\n--- wto\n%s\n--- rpo\n%s",
-							fx.name, lvl, want[analysis.SchedWTO], want[analysis.SchedRPO])
-					}
-				}
-				// Schedule independence: a second run of the last
-				// configuration must reproduce the first bit for bit.
-				last := configs[len(configs)-1]
-				res, err := analysis.Run(prog, analysis.Options{
-					Level: lvl, MaxVisits: fx.maxVisits, Sched: last.sched,
-					Workers: last.workers, NoDelta: last.noDelta,
-				})
-				if err != nil && !(fx.maxVisits > 0 && errors.Is(err, analysis.ErrNoConvergence)) {
-					t.Fatalf("%s %v repeat %+v: %v", fx.name, lvl, last, err)
-				}
-				if got := fingerprint(res); got != want[last.sched] {
-					t.Fatalf("%s %v: repeated %+v run disagrees with itself", fx.name, lvl, last)
+				// A second run of the last configuration must reproduce
+				// the first bit for bit.
+				if got := run(workers[len(workers)-1]); got != want {
+					t.Fatalf("%s %v: repeated workers=%d run disagrees with itself",
+						fx.name, lvl, workers[len(workers)-1])
 				}
 			}
 		})

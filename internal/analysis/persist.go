@@ -29,9 +29,9 @@ import (
 //   - cold: no usable snapshot — run normally and, on a clean outcome,
 //     record the per-statement fixpoint as a new snapshot.
 //
-// Independently of the mode, the per-statement transfer memo gains a
-// persistent tier: in-memory misses probe the store by (transfer key,
-// input digest), and computed parts are written through. Every store
+// Independently of the mode, per-graph transfers gain a persistent
+// memo tier: each graph to step first probes the store by (transfer
+// key, input digest), and computed parts are written through. Every store
 // read failure — absent record, corrupt bytes, digest mismatch —
 // degrades to a miss (ultimately to a cold run), never to a wrong
 // result: graphs are re-digested on decode and verified against their
@@ -40,9 +40,10 @@ import (
 // persistSchema versions the key derivation: bumping it orphans every
 // existing store entry (they simply stop matching), which is the
 // invalidation story for semantics changes in the engine. Schema 2:
-// the WTO scheduler landed (DESIGN.md §14) — widening points moved,
-// so pre-WTO snapshots must not warm-start either scheduler.
-const persistSchema = 2
+// the WTO scheduler landed (DESIGN.md §14) — widening points moved.
+// Schema 3: WTO became the only scheduler, and the scheduler and the
+// RPO widening cap left the fingerprint.
+const persistSchema = 3
 
 type persistMode int
 
@@ -75,9 +76,9 @@ type persistPlan struct {
 // optionsFingerprint hashes every option that changes analysis
 // *results* — level, reduction and soundness knobs, and the widening
 // threshold. Budgets (MaxVisits, NodeBudget, Timeout) are deliberately
-// excluded and handled by the snapshot eligibility rules; Workers and
-// NoDelta are excluded because any setting produces bit-identical
-// digests (DESIGN.md §7–8).
+// excluded and handled by the snapshot eligibility rules; Workers is
+// excluded because any setting produces bit-identical digests
+// (DESIGN.md §7).
 func optionsFingerprint(opts Options) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -100,13 +101,8 @@ func optionsFingerprint(opts Options) uint64 {
 	putBool(opts.NoCompress)
 	putBool(opts.TouchAllPvars)
 	putBool(opts.LegacyUnsound)
-	// The scheduler and its widening thresholds are result-affecting:
-	// the two schedulers agree only on runs that converge without
-	// widening, and bounded runs snapshot a schedule-dependent prefix.
-	// Keying the fingerprint on them keeps snapshots exchangeable only
-	// within one schedule.
-	put(uint64(opts.Sched))
-	put(widenAfter)
+	// The widening threshold is result-affecting: it decides which
+	// loop heads accumulate their out-states.
 	put(widenHeadAfter)
 	return h.Sum64()
 }

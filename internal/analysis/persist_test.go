@@ -111,70 +111,62 @@ func sameDigests(t *testing.T, label string, want, got map[int]rsg.Digest) {
 // TestPersistDeterminismMatrix is the persist dimension of the
 // determinism matrix: cold, warm-from-store, and a zero-statement
 // edit-delta run must produce bit-identical per-statement set digests
-// at sched {wto,rpo} × workers {1,4} × delta {on,off} — and the
-// store-backed cold run must match the storeless baseline. Each
-// scheduler replays only its own snapshots (the fingerprint covers
-// Sched), so the matrix proves warm/edit replay is bit-identical from
-// both WTO- and RPO-written stores.
+// at workers {1,4} — and the store-backed cold run must match the
+// storeless baseline.
 func TestPersistDeterminismMatrix(t *testing.T) {
-	for _, sched := range []Sched{SchedWTO, SchedRPO} {
-		for _, workers := range []int{1, 4} {
-			for _, noDelta := range []bool{false, true} {
-				name := fmt.Sprintf("sched=%v/workers=%d/delta=%v", sched, workers, !noDelta)
-				t.Run(name, func(t *testing.T) {
-					opts := Options{Sched: sched, Workers: workers, NoDelta: noDelta}
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			opts := Options{Workers: workers}
 
-					// Reference: storeless cold run.
-					ref, err := Run(compileSrc(t, persistSrc), opts)
-					if err != nil {
-						t.Fatalf("baseline: %v", err)
-					}
-					want := outDigests(ref)
-
-					st := openStore(t, filepath.Join(t.TempDir(), "cache.rsgstore"))
-					opts.Store = st
-
-					// Cold with store: identical digests, snapshot recorded.
-					cold, err := Run(compileSrc(t, persistSrc), opts)
-					if err != nil {
-						t.Fatalf("cold: %v", err)
-					}
-					sameDigests(t, "cold-with-store", want, outDigests(cold))
-					if cold.Stats.ReusedStatements != 0 || cold.Stats.ReseededStatements != 0 {
-						t.Fatalf("cold run reports reuse: %+v", cold.Stats)
-					}
-
-					// Warm: zero work, identical digests.
-					warm, err := Run(compileSrc(t, persistSrc), opts)
-					if err != nil {
-						t.Fatalf("warm: %v", err)
-					}
-					sameDigests(t, "warm", want, outDigests(warm))
-					if warm.Stats.Visits != 0 || warm.Stats.DeltaTransfers != 0 || warm.Stats.FullRecomputes != 0 {
-						t.Fatalf("warm run did work: %+v", warm.Stats)
-					}
-					if warm.Stats.ReusedStatements != len(want) {
-						t.Fatalf("warm reused %d statements, want %d", warm.Stats.ReusedStatements, len(want))
-					}
-
-					// Zero-statement edit-delta: the diff/seed machinery runs
-					// with an empty cone and must also be a zero-work replay.
-					zopts := opts
-					zopts.forceEditDelta = true
-					zero, err := Run(compileSrc(t, persistSrc), zopts)
-					if err != nil {
-						t.Fatalf("zero-edit: %v", err)
-					}
-					sameDigests(t, "zero-edit", want, outDigests(zero))
-					if zero.Stats.Visits != 0 || zero.Stats.ReseededStatements != 0 {
-						t.Fatalf("zero-edit run did work: %+v", zero.Stats)
-					}
-					if zero.Stats.ReusedStatements != len(want) {
-						t.Fatalf("zero-edit reused %d statements, want %d", zero.Stats.ReusedStatements, len(want))
-					}
-				})
+			// Reference: storeless cold run.
+			ref, err := Run(compileSrc(t, persistSrc), opts)
+			if err != nil {
+				t.Fatalf("baseline: %v", err)
 			}
-		}
+			want := outDigests(ref)
+
+			st := openStore(t, filepath.Join(t.TempDir(), "cache.rsgstore"))
+			opts.Store = st
+
+			// Cold with store: identical digests, snapshot recorded.
+			cold, err := Run(compileSrc(t, persistSrc), opts)
+			if err != nil {
+				t.Fatalf("cold: %v", err)
+			}
+			sameDigests(t, "cold-with-store", want, outDigests(cold))
+			if cold.Stats.ReusedStatements != 0 || cold.Stats.ReseededStatements != 0 {
+				t.Fatalf("cold run reports reuse: %+v", cold.Stats)
+			}
+
+			// Warm: zero work, identical digests.
+			warm, err := Run(compileSrc(t, persistSrc), opts)
+			if err != nil {
+				t.Fatalf("warm: %v", err)
+			}
+			sameDigests(t, "warm", want, outDigests(warm))
+			if warm.Stats.Visits != 0 || warm.Stats.DeltaTransfers != 0 {
+				t.Fatalf("warm run did work: %+v", warm.Stats)
+			}
+			if warm.Stats.ReusedStatements != len(want) {
+				t.Fatalf("warm reused %d statements, want %d", warm.Stats.ReusedStatements, len(want))
+			}
+
+			// Zero-statement edit-delta: the diff/seed machinery runs
+			// with an empty cone and must also be a zero-work replay.
+			zopts := opts
+			zopts.forceEditDelta = true
+			zero, err := Run(compileSrc(t, persistSrc), zopts)
+			if err != nil {
+				t.Fatalf("zero-edit: %v", err)
+			}
+			sameDigests(t, "zero-edit", want, outDigests(zero))
+			if zero.Stats.Visits != 0 || zero.Stats.ReseededStatements != 0 {
+				t.Fatalf("zero-edit run did work: %+v", zero.Stats)
+			}
+			if zero.Stats.ReusedStatements != len(want) {
+				t.Fatalf("zero-edit reused %d statements, want %d", zero.Stats.ReusedStatements, len(want))
+			}
+		})
 	}
 }
 
@@ -306,9 +298,6 @@ func TestPersistFingerprintInvalidation(t *testing.T) {
 		{Store: st, Level: rsg.L2},
 		{Store: st, DisableJoin: true},
 		{Store: st, MaxGraphsPerStmt: 8},
-		// The scheduler is fingerprinted (widening points differ), so a
-		// WTO-written snapshot must not warm-start an RPO run.
-		{Store: st, Sched: SchedRPO},
 	}
 	for i, opts := range variants {
 		res, err := Run(compileSrc(t, persistSrc), opts)

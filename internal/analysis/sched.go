@@ -6,106 +6,14 @@ import (
 	"repro/internal/ir"
 )
 
-// Fixpoint scheduling (DESIGN.md §14). The engine's worklist loop is
-// parameterized over a scheduler: the order in which pending
-// statements are visited is a pure performance choice (the in-state
-// accumulation makes the dataflow monotone under any order), but it
-// decides how many visits the fixed point costs. Two schedulers exist:
-//
-//   - SchedWTO (default): Bourdoncle's recursive iteration strategy
-//     over the weak topological order — each loop component is
-//     stabilized to a local fixed point before the order advances past
-//     it, so an inner-loop ripple never re-fires outer statements.
-//   - SchedRPO: the flat reverse-postorder min-heap this repo used
-//     through PR 8, kept for A/B comparison (`shapec -sched rpo`,
-//     `benchtab -sched rpo,wto`).
-
-// Sched selects the engine's fixpoint scheduler.
-type Sched int
-
-const (
-	// SchedWTO iterates the weak topological order with the recursive
-	// strategy (innermost components stabilize first). The default.
-	SchedWTO Sched = iota
-	// SchedRPO pops pending statements in flat reverse-postorder.
-	SchedRPO
-)
-
-// String returns the CLI name of the scheduler ("wto", "rpo").
-func (s Sched) String() string {
-	switch s {
-	case SchedWTO:
-		return "wto"
-	case SchedRPO:
-		return "rpo"
-	}
-	return fmt.Sprintf("sched(%d)", int(s))
-}
-
-// ParseSched parses a CLI scheduler name.
-func ParseSched(name string) (Sched, error) {
-	switch name {
-	case "wto":
-		return SchedWTO, nil
-	case "rpo":
-		return SchedRPO, nil
-	}
-	return 0, fmt.Errorf("unknown scheduler %q (want rpo or wto)", name)
-}
-
-// worklist abstracts the engine's scheduling policy. push enqueues a
-// statement (returning whether it was newly enqueued — duplicates are
-// absorbed by a pending set) and run drains the worklist through the
-// visit callback, which may push further statements; run returns when
-// no statement is pending or visit returns an error. widenNow reports
-// whether the statement's next transfer must widen (union with its
-// previous out-state), given its post-increment visit count.
-type worklist interface {
-	push(id int) bool
-	run(visit func(id int) error) error
-	widenNow(id, visits int) bool
-}
-
-// rpoSched is the legacy flat scheduler: a binary min-heap over RPO
-// positions with a pending bitmap for dedup, and the global
-// visits-per-statement widening cap.
-type rpoSched struct {
-	rpo      []int
-	rpoIndex []int
-	pending  []bool
-	heap     rpoHeap
-}
-
-func newRPOSched(prog *ir.Program) *rpoSched {
-	rpo := reversePostOrder(prog)
-	rpoIndex := make([]int, len(prog.Stmts))
-	for i, id := range rpo {
-		rpoIndex[id] = i
-	}
-	return &rpoSched{rpo: rpo, rpoIndex: rpoIndex, pending: make([]bool, len(prog.Stmts))}
-}
-
-func (s *rpoSched) push(id int) bool {
-	if s.pending[id] {
-		return false
-	}
-	s.pending[id] = true
-	s.heap.push(s.rpoIndex[id])
-	return true
-}
-
-func (s *rpoSched) run(visit func(int) error) error {
-	for s.heap.len() > 0 {
-		id := s.rpo[s.heap.pop()]
-		s.pending[id] = false
-		if err := visit(id); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (s *rpoSched) widenNow(_, visits int) bool { return visits > widenAfter }
+// Fixpoint scheduling (DESIGN.md §14). The engine visits pending
+// statements with Bourdoncle's recursive iteration strategy over the
+// weak topological order: each loop component is stabilized to a local
+// fixed point before the order advances past it, so an inner-loop
+// ripple never re-fires outer statements. The in-state accumulation
+// makes the dataflow monotone under any order, but the order still
+// decides how many visits the fixed point costs, and, because in-states
+// keep transient predecessor outs, which fixed point it reaches.
 
 // wtoSched implements the recursive iteration strategy over the WTO.
 // pending is the usual per-statement bitmap; pendingIn[c] counts the
@@ -232,83 +140,10 @@ func (s *wtoSched) stabilize(c int, visit func(int) error) error {
 	return nil
 }
 
-func (s *wtoSched) widenNow(id, _ int) bool { return s.widen[id] }
-
 // widenHeadAfter is the cumulative stabilization-round count past
-// which a component head's transfers widen under SchedWTO. The
-// analogue of widenAfter (which SchedRPO keeps), but per component and
-// much lower: a round re-fires the head at most once, so this bounds
-// head visits directly, and non-head statements rely on the heads of
-// their enclosing components for termination. Covered by the options
-// fingerprint: changing it changes results and must orphan snapshots.
+// which a component head's transfers widen. A round re-fires the head
+// at most once, so this bounds head visits directly, and non-head
+// statements rely on the heads of their enclosing components for
+// termination. Covered by the options fingerprint: changing it changes
+// results and must orphan snapshots.
 const widenHeadAfter = 256
-
-// reversePostOrder computes an RPO over the CFG from the entry.
-func reversePostOrder(prog *ir.Program) []int {
-	seen := make([]bool, len(prog.Stmts))
-	var post []int
-	var dfs func(int)
-	dfs = func(id int) {
-		seen[id] = true
-		for _, s := range prog.Stmts[id].Succs {
-			if !seen[s] {
-				dfs(s)
-			}
-		}
-		post = append(post, id)
-	}
-	dfs(prog.Entry)
-	for id := range prog.Stmts {
-		if !seen[id] {
-			dfs(id)
-		}
-	}
-	out := make([]int, len(post))
-	for i, id := range post {
-		out[len(post)-1-i] = id
-	}
-	return out
-}
-
-// rpoHeap is a binary min-heap of RPO positions. A hand-rolled int heap
-// (rather than container/heap) keeps pushes and pops allocation-free.
-type rpoHeap struct{ a []int }
-
-func (h *rpoHeap) len() int { return len(h.a) }
-
-func (h *rpoHeap) push(x int) {
-	h.a = append(h.a, x)
-	i := len(h.a) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h.a[p] <= h.a[i] {
-			break
-		}
-		h.a[p], h.a[i] = h.a[i], h.a[p]
-		i = p
-	}
-}
-
-func (h *rpoHeap) pop() int {
-	top := h.a[0]
-	last := len(h.a) - 1
-	h.a[0] = h.a[last]
-	h.a = h.a[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		if l >= last {
-			break
-		}
-		c := l
-		if r < last && h.a[r] < h.a[l] {
-			c = r
-		}
-		if h.a[i] <= h.a[c] {
-			break
-		}
-		h.a[i], h.a[c] = h.a[c], h.a[i]
-		i = c
-	}
-	return top
-}

@@ -20,7 +20,7 @@ package ir
 // Order lists statement IDs; components are contiguous ranges of it
 // described by Comps. Statements unreachable from the entry are
 // appended after the reachable order as trivial (non-component)
-// vertices, mirroring reversePostOrder's handling.
+// vertices.
 type WTO struct {
 	// Order is the weak topological order of statement IDs.
 	Order []int

@@ -174,8 +174,7 @@ func TestWTOUnreachableAppended(t *testing.T) {
 	}
 	// Unreachable statements are trivial vertices even when they form
 	// cycles among themselves: they are never scheduled, so no
-	// component structure is needed (mirrors reversePostOrder, which
-	// appends them without visiting their edges' implications either).
+	// component structure is needed.
 	for _, comp := range w.Comps {
 		if comp.Head == 3 || comp.Head == 4 {
 			t.Fatalf("unreachable statement heads a component: %+v", w.Comps)

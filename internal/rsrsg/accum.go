@@ -7,11 +7,11 @@ import (
 )
 
 // Accum is the semi-naïve accumulator behind one statement's out-state
-// (DESIGN.md §8). The engine's full transfer computes
+// (DESIGN.md §8). A heap-mutating statement's transfer is
 //
 //	out = Reduce(U_{g in members(in)} F(g))
 //
-// where F(g) is the memoized per-graph transfer part. Accum maintains
+// where F(g) is the per-graph transfer part. Accum maintains
 // exactly that value incrementally: it holds the refcounted union of
 // the live parts' entries (the pre-reduce "raw" state, partitioned by
 // alias bucket) plus the cached reduction of every bucket, and

@@ -52,9 +52,8 @@ type joinKey struct {
 // operands, so a cached result is bit-identical to recomputation at any
 // worker count; the mutex only guards the maps, never the computation,
 // and a racing duplicate computation is harmless — both sides intern to
-// the same canonical graph. The stateless full path (Reduce, and the
-// engine's NoDelta mode) uses a nil cache and recomputes from scratch:
-// that asymmetry is exactly the A/B the -nodelta flag measures.
+// the same canonical graph. Callers without a cache (a plain Reduce)
+// recompute from scratch.
 type JoinCache struct {
 	mu     sync.Mutex
 	compat map[joinKey]bool
@@ -205,8 +204,7 @@ type Options struct {
 	// JOIN+COMPRESS results across Reduce/MergeDelta/Accum calls (see
 	// JoinCache). Both primitives are pure functions of their frozen
 	// operands, so supplying a cache never changes results. The
-	// semi-naïve engine shares one cache per run; the stateless NoDelta
-	// path leaves this nil and recomputes.
+	// semi-naïve engine shares one cache per run.
 	Joins *JoinCache
 	// Stats, when non-nil, receives per-run attribution of the rsg
 	// digest/freeze/intern work done on this run's behalf. The rsg

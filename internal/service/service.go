@@ -121,9 +121,9 @@ func (e *epStats) observe(d time.Duration) {
 type aggStats struct {
 	runs            atomic.Int64
 	visits          atomic.Int64
-	memoHits        atomic.Int64
-	memoMisses      atomic.Int64
+	storeMemoHits   atomic.Int64
 	reusedStmts     atomic.Int64
+	reseededStmts   atomic.Int64
 	graphsFrozen    atomic.Int64
 	digestsComputed atomic.Int64
 	internHits      atomic.Int64
@@ -133,9 +133,9 @@ type aggStats struct {
 func (a *aggStats) add(s *analysis.Stats) {
 	a.runs.Add(1)
 	a.visits.Add(int64(s.Visits))
-	a.memoHits.Add(int64(s.MemoHits))
-	a.memoMisses.Add(int64(s.MemoMisses))
+	a.storeMemoHits.Add(int64(s.StoreMemoHits))
 	a.reusedStmts.Add(int64(s.ReusedStatements))
+	a.reseededStmts.Add(int64(s.ReseededStatements))
 	a.graphsFrozen.Add(int64(s.Cache.GraphsFrozen))
 	a.digestsComputed.Add(int64(s.Cache.DigestsComputed))
 	a.internHits.Add(int64(s.Cache.InternHits))
@@ -291,9 +291,9 @@ type StoreStats struct {
 type AnalysisTotals struct {
 	Runs            int64 `json:"runs"`
 	Visits          int64 `json:"visits"`
-	MemoHits        int64 `json:"memo_hits"`
-	MemoMisses      int64 `json:"memo_misses"`
+	StoreMemoHits   int64 `json:"store_memo_hits"`
 	ReusedStmts     int64 `json:"reused_statements"`
+	ReseededStmts   int64 `json:"reseeded_statements"`
 	GraphsFrozen    int64 `json:"graphs_frozen"`
 	DigestsComputed int64 `json:"digests_computed"`
 	InternHits      int64 `json:"intern_hits"`
@@ -326,9 +326,9 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 		Analysis: AnalysisTotals{
 			Runs:            s.agg.runs.Load(),
 			Visits:          s.agg.visits.Load(),
-			MemoHits:        s.agg.memoHits.Load(),
-			MemoMisses:      s.agg.memoMisses.Load(),
+			StoreMemoHits:   s.agg.storeMemoHits.Load(),
 			ReusedStmts:     s.agg.reusedStmts.Load(),
+			ReseededStmts:   s.agg.reseededStmts.Load(),
 			GraphsFrozen:    s.agg.graphsFrozen.Load(),
 			DigestsComputed: s.agg.digestsComputed.Load(),
 			InternHits:      s.agg.internHits.Load(),

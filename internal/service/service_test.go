@@ -255,17 +255,27 @@ func TestTimeoutReturns504WhileOthersComplete(t *testing.T) {
 }
 
 // TestStatsEndpoint checks that /stats surfaces the store counts, the
-// aggregate engine counters and the per-endpoint blocks after traffic.
+// aggregate engine counters and the per-endpoint blocks after traffic:
+// a cold /analyze of matvec, then an edited re-run of the same name,
+// which reseeds the edit's cone and serves part of it from the store's
+// transfer memo.
 func TestStatsEndpoint(t *testing.T) {
 	srv, _ := newServer(t, service.Config{Workers: 2})
 
-	var resp service.AnalyzeResponse
-	code, body := postJSON(t, srv.URL+"/analyze", service.AnalyzeRequest{
-		Name:   "slist",
-		Source: benchprog.ByName("slist").Source,
-	}, &resp)
-	if code != http.StatusOK {
-		t.Fatalf("analyze: status %d: %s", code, body)
+	base := benchprog.ByName("matvec").Source
+	edited, err := benchprog.TailEditSource(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []string{base, edited} {
+		var resp service.AnalyzeResponse
+		code, body := postJSON(t, srv.URL+"/analyze", service.AnalyzeRequest{
+			Name:   "matvec",
+			Source: src,
+		}, &resp)
+		if code != http.StatusOK {
+			t.Fatalf("analyze: status %d: %s", code, body)
+		}
 	}
 
 	r, err := http.Get(srv.URL + "/stats")
@@ -283,8 +293,11 @@ func TestStatsEndpoint(t *testing.T) {
 	if stats.Analysis.Runs == 0 || stats.Analysis.Visits == 0 {
 		t.Errorf("aggregate analysis counters empty: %+v", stats.Analysis)
 	}
+	if stats.Analysis.StoreMemoHits == 0 || stats.Analysis.ReseededStmts == 0 {
+		t.Errorf("edit re-run left the edit-path counters at zero: %+v", stats.Analysis)
+	}
 	ep, ok := stats.Endpoints["analyze"]
-	if !ok || ep.Requests != 1 || ep.OK != 1 {
+	if !ok || ep.Requests != 2 || ep.OK != 2 {
 		t.Errorf("analyze endpoint counters wrong: %+v", ep)
 	}
 	if ep.TotalUS <= 0 || ep.MaxUS <= 0 {

@@ -11,11 +11,10 @@ import (
 )
 
 // TestVerdictDeterminism extends the engine's determinism matrix to
-// the verdict layer: over worker counts x delta propagation modes, the
-// rendered report, the per-class alarm lists and the witness texts
-// must be bit-identical. The tasks cover the three verdict outcomes
-// and a free-heavy program (uaf_unlink_loop exercises OpFree through
-// the parallel transfer memo).
+// the verdict layer: over worker counts, the rendered report, the
+// per-class alarm lists and the witness texts must be bit-identical.
+// The tasks cover the three verdict outcomes and a free-heavy program
+// (uaf_unlink_loop exercises OpFree through the parallel transfers).
 func TestVerdictDeterminism(t *testing.T) {
 	tasks := []string{
 		"null_walk_escalates.c",      // escalating safe verdicts
@@ -23,12 +22,7 @@ func TestVerdictDeterminism(t *testing.T) {
 		"uaf_dangling_ref_unknown.c", // surviving alarms, no witness
 		"leak_cond_drop_unsafe.c",    // unsafe with a concrete witness
 	}
-	configs := []struct {
-		workers int
-		noDelta bool
-	}{
-		{1, false}, {4, false}, {1, true}, {4, true},
-	}
+	workers := []int{1, 4}
 	for _, task := range tasks {
 		src, err := os.ReadFile(filepath.Join(corpusDir, task))
 		if err != nil {
@@ -39,12 +33,12 @@ func TestVerdictDeterminism(t *testing.T) {
 			t.Fatalf("%s: %v", task, err)
 		}
 		var want string
-		for i, cfg := range configs {
+		for i, w := range workers {
 			rep := Check(prog, Options{
-				Analysis: analysis.Options{Workers: cfg.workers, NoDelta: cfg.noDelta},
+				Analysis: analysis.Options{Workers: w},
 			})
 			if rep.Err != nil {
-				t.Fatalf("%s %+v: %v", task, cfg, rep.Err)
+				t.Fatalf("%s workers=%d: %v", task, w, rep.Err)
 			}
 			got := renderReport(rep)
 			if i == 0 {
@@ -52,8 +46,8 @@ func TestVerdictDeterminism(t *testing.T) {
 				continue
 			}
 			if got != want {
-				t.Errorf("%s: %+v diverged from %+v:\n--- want\n%s\n--- got\n%s",
-					task, cfg, configs[0], want, got)
+				t.Errorf("%s: workers=%d diverged from workers=%d:\n--- want\n%s\n--- got\n%s",
+					task, w, workers[0], want, got)
 			}
 		}
 	}
