@@ -134,8 +134,9 @@ func TestSelfLinkCycle(t *testing.T) {
 	}
 }
 
-// TestStepFunctionsShareUnchangedGraphs verifies the no-op fast paths
-// used by the engine memo: the same *Graph pointer comes back.
+// TestStepFunctionsShareUnchangedGraphs verifies the no-op fast paths:
+// the same *Graph pointer comes back, so no new graph is built,
+// frozen or interned.
 func TestStepFunctionsShareUnchangedGraphs(t *testing.T) {
 	ctx := &Context{Level: rsg.L1}
 	g := rsg.NewGraph()

@@ -189,7 +189,7 @@ type Stats struct {
 	SharedTallies bool
 }
 
-// CacheSummary renders the memoization counters in one line.
+// CacheSummary renders the delta and cache counters in one line.
 func (s *Stats) CacheSummary() string {
 	shared := ""
 	if s.SharedTallies {

@@ -24,7 +24,7 @@ import (
 //      in-state delta are independent frozen inputs, so their steps
 //      are dispatched as parallel jobs;
 //   2. per-alias-bucket reductions inside rsrsg (Reduce/MergeDelta/
-//      UnionAll), reached through the rsrsg.Options.Exec hook.
+//      Accum), reached through the rsrsg.Options.Exec hook.
 //
 // Determinism is by construction, not by luck: every parallel unit
 // writes to a pre-assigned slot, results are joined in the same
