@@ -56,9 +56,9 @@ func TestGoldenDigestEquivalence(t *testing.T) {
 		prog := fx.src(t)
 		for _, lvl := range []rsg.Level{rsg.L1, rsg.L2, rsg.L3} {
 			key := fx.name + "/" + lvl.String()
-			// Recorded under the engine's default WTO scheduler. The
-			// schedule is an input to the result (DESIGN.md §14), so a
-			// scheduler change re-records this file.
+			// Recorded under the engine's WTO scheduler. The schedule is
+			// an input to the result (DESIGN.md §14), so a scheduler
+			// change re-records this file.
 			res, err := analysis.Run(prog, analysis.Options{Level: lvl, MaxVisits: fx.maxVisits})
 			if err != nil && !(fx.maxVisits > 0 && errors.Is(err, analysis.ErrNoConvergence)) {
 				t.Fatalf("%s: %v", key, err)
