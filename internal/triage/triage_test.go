@@ -1,23 +1,26 @@
 package triage
 
 import (
-	"os"
 	"strings"
 	"testing"
 
 	"repro/internal/analysis"
 	"repro/internal/cminic"
+	"repro/internal/concrete"
 	"repro/internal/ir"
 	"repro/internal/rsg"
+	"repro/internal/rsrsg"
 )
 
 // hubRelinkSrc is the undistilled reproducer of the L1 hub-rotation
-// soundness gap: a hub with two selectors into one target, a loop that
-// links back into the hub and rotates `p = q`. Under the legacy
-// (pre-anchoring) PRUNE it yields an RSRSG that misses reachable heaps;
-// the fixed engine covers them. The committed corpus case
+// soundness gap, since fixed: a hub with two selectors into one target,
+// a loop that links back into the hub and rotates `p = q`. PRUNE's
+// share rule once evicted links on the strength of unanchored JOIN
+// copies here; the committed corpus case
 // internal/concrete/testdata/hub_rotation.c is this program after
-// Shrink.
+// Shrink, and TestCorpusSoundness sweeps it at L1/L2/L3. The tests
+// below keep the engine sound and manufacture the cover failure the
+// triage tools need by cutting one out-set (cutFirstMultiSet).
 const hubRelinkSrc = `
 struct node { int v; struct node *nxt; struct node *prv; };
 
@@ -52,32 +55,73 @@ func compileSrc(t *testing.T, src string) *ir.Program {
 	return prog
 }
 
-func legacyOpts() analysis.Options {
-	return analysis.Options{Level: rsg.L1, MaxVisits: 50000, LegacyUnsound: true}
-}
-
 func fixedOpts() analysis.Options {
 	return analysis.Options{Level: rsg.L1, MaxVisits: 50000}
 }
 
-// TestExplainNamesLegacyFailure drives the explainer over the legacy
-// engine's unsound result: the report must name the failing statement
-// and the node property that rejected the nearest embedding, and the
-// DOT pair must carry both clusters.
-func TestExplainNamesLegacyFailure(t *testing.T) {
+// cutFirstMultiSet replaces the first out-set, in statement order,
+// that holds two or more RSGs with a set of its first member alone. The
+// cut result under-approximates that statement's reachable heaps, which
+// gives the triage tools a cover failure to report without a buggy
+// engine. It returns the cut statement's ID, or -1 when no set has two
+// members.
+func cutFirstMultiSet(res *analysis.Result) int {
+	for id := range res.Program.Stmts {
+		set := res.Out[id]
+		if set == nil || set.Len() < 2 {
+			continue
+		}
+		cut := rsrsg.New()
+		cut.Add(set.Graphs()[0])
+		res.Out[id] = cut
+		return id
+	}
+	return -1
+}
+
+// cutCoverFailure is the shrinking predicate for the cut: compile, run
+// the fixed engine, cut the first multi-member out-set, and hold when
+// the concrete traces find a heap the cut result misses.
+func cutCoverFailure(src string) bool {
+	file, err := cminic.Parse(src)
+	if err != nil {
+		return false
+	}
+	prog, err := ir.LowerMain(file)
+	if err != nil {
+		return false
+	}
+	res, err := analysis.Run(prog, fixedOpts())
+	if err != nil || cutFirstMultiSet(res) < 0 {
+		return false
+	}
+	fail, err := concrete.FindCoverFailure(prog, res.Out, res.Level, 10, 42)
+	return err == nil && fail != nil
+}
+
+// TestExplainNamesCoverFailure drives the explainer over a cut result:
+// the report must name the failing statement and the node property
+// that rejected the nearest embedding, and the DOT pair must carry both
+// clusters.
+func TestExplainNamesCoverFailure(t *testing.T) {
 	prog := compileSrc(t, hubRelinkSrc)
-	res, err := analysis.Run(prog, legacyOpts())
+	res, err := analysis.Run(prog, fixedOpts())
 	if err != nil {
 		t.Fatal(err)
+	}
+	cut := cutFirstMultiSet(res)
+	if cut < 0 {
+		t.Fatal("no out-set with two RSGs to cut")
 	}
 	rep, err := Explain(prog, res, 25, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep == nil {
-		t.Fatal("legacy engine unexpectedly covers the hub-rotation heaps; the ablation lost its bug")
+		t.Fatalf("cutting statement %d left every observed heap covered", cut)
 	}
 	text := rep.Text()
+	t.Logf("cut statement %d; report:\n%s", cut, text)
 	if !strings.Contains(text, rep.Fail.Stmt) {
 		t.Errorf("report does not name the failing statement %q:\n%s", rep.Fail.Stmt, text)
 	}
@@ -106,7 +150,8 @@ func TestExplainNamesLegacyFailure(t *testing.T) {
 }
 
 // TestFixedEngineCoversHubRelink pins the fix: the same program under
-// the current engine has no cover failure at any level.
+// the current engine has no cover failure at any level, and the
+// standard shrinking predicate does not hold on it.
 func TestFixedEngineCoversHubRelink(t *testing.T) {
 	prog := compileSrc(t, hubRelinkSrc)
 	for _, lvl := range []rsg.Level{rsg.L1, rsg.L2, rsg.L3} {
@@ -122,55 +167,42 @@ func TestFixedEngineCoversHubRelink(t *testing.T) {
 			t.Fatalf("%s: unexpected cover failure:\n%s", lvl, rep.Text())
 		}
 	}
+	if SoundnessPredicate(fixedOpts(), 10, 42)(hubRelinkSrc) {
+		t.Fatal("SoundnessPredicate holds on a program the fixed engine covers")
+	}
 }
 
-// TestShrinkerProperties is the shrinker's contract on the hub-rotation
-// find: the output still fails the pre-fix (legacy) engine, no longer
-// fails the fixed engine, and is no larger than the input in
-// statements.
+// TestShrinkerProperties is the shrinker's contract on the cut
+// hub-rotation result: the output still satisfies the predicate, is no
+// larger than the input in statements, and is 1-minimal — removing any
+// single remaining statement stops the failure.
 func TestShrinkerProperties(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shrinking runs the analysis per candidate")
 	}
-	legacy := SoundnessPredicate(legacyOpts(), 10, 42)
-	fixed := SoundnessPredicate(fixedOpts(), 10, 42)
-	out, err := Shrink(hubRelinkSrc, legacy)
+	out, err := Shrink(hubRelinkSrc, cutCoverFailure)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !legacy(out) {
-		t.Fatalf("shrunk program no longer fails the legacy engine:\n%s", out)
-	}
-	if fixed(out) {
-		t.Fatalf("shrunk program still fails the fixed engine:\n%s", out)
+	if !cutCoverFailure(out) {
+		t.Fatalf("shrunk program no longer satisfies the predicate:\n%s", out)
 	}
 	nIn, err := StmtCount(hubRelinkSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nOut, err := StmtCount(out)
+	file, err := cminic.Parse(out)
 	if err != nil {
 		t.Fatalf("shrunk program does not parse: %v\n%s", err, out)
 	}
+	nOut := countUnits(file)
 	if nOut > nIn {
 		t.Fatalf("shrunk program grew: %d -> %d statements\n%s", nIn, nOut, out)
 	}
+	for i := 0; i < nOut; i++ {
+		if cand := emitWithout(file, i, i+1); cutCoverFailure(cand) {
+			t.Errorf("not 1-minimal: dropping statement %d still fails:\n%s", i, cand)
+		}
+	}
 	t.Logf("shrunk %d -> %d statements:\n%s", nIn, nOut, out)
-}
-
-// TestHubRotationCorpusBeforeAfter pins the committed corpus case:
-// failing on the legacy engine, covered by the fixed one (the fixed
-// side is also swept by TestCorpusSoundness at L1/L2/L3).
-func TestHubRotationCorpusBeforeAfter(t *testing.T) {
-	b, err := os.ReadFile("../concrete/testdata/hub_rotation.c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := string(b)
-	if !SoundnessPredicate(legacyOpts(), 10, 42)(src) {
-		t.Fatalf("hub_rotation.c no longer fails the legacy engine")
-	}
-	if SoundnessPredicate(fixedOpts(), 10, 42)(src) {
-		t.Fatalf("hub_rotation.c fails the fixed engine")
-	}
 }
