@@ -1,14 +1,19 @@
 # Developer entry points. `make ci` is the gate every change must pass:
-# vet + build + full test suite + race detector over the concurrent
+# gofmt + vet + build + full test suite + race detector over the concurrent
 # packages + a one-iteration benchmark smoke to catch bit-rot in the
 # bench harness without paying full bench time + a one-rep benchtab run
 # diffed against the committed snapshot.
 
 GO ?= go
 
-.PHONY: ci vet build test test-race bench-smoke bench-compare bench-sched bench-warm bench fuzz corpus corpus-short service-smoke tidy
+.PHONY: ci fmt vet build test test-race bench-smoke bench-compare bench-sched bench-warm bench fuzz corpus corpus-short service-smoke tidy
 
-ci: vet build test test-race bench-smoke bench-compare bench-sched bench-warm fuzz-short corpus-short service-smoke
+ci: fmt vet build test test-race bench-smoke bench-compare bench-sched bench-warm fuzz-short corpus-short service-smoke
+
+# Fails when any tracked Go file is not gofmt-clean, listing the files.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

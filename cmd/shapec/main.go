@@ -9,9 +9,14 @@
 //
 //	-level N        analysis level 1..3 (default 1); ignored with -progressive
 //	-progressive    escalate L1 -> L2 -> L3 until the kernel's goals hold
-//	-dot            print the exit RSRSG in Graphviz dot syntax
+//	-dot            print RSRSGs in Graphviz dot syntax: the selected
+//	                statements' (-stmt, -line), else the exit state's
 //	-ir             print the lowered IR and CFG
-//	-stmt N         also dump the RSRSG after statement N
+//	-stmt N         also dump the RSRSG after IR statement N
+//	-line N         also dump the RSRSG after every IR statement lowered
+//	                from source line N (a C statement can expand to
+//	                several); -stmt and -line are exclusive, and a
+//	                selection that names no statement is a usage error
 //	-budget N       abort when the abstraction exceeds N live nodes
 //	-stats          print cache counters (delta transfers, dirty
 //	                buckets, graphs frozen, digest cache hits, interning)
@@ -22,11 +27,6 @@
 //	-workers N      goroutines for per-graph transfers and bucket
 //	                reductions (0 = GOMAXPROCS, 1 = sequential; results
 //	                are identical at any value)
-//	-explain        cross-validate the result against randomized concrete
-//	                executions; on a cover failure print the triage report
-//	                (failing statement + rejecting node property) and exit 1.
-//	                cmd/shapetriage offers the full triage toolkit
-//	                (trace seeds, legacy engine, DOT pair, shrinking)
 //	-cache-dir D    persistent analysis store: repeat runs of the same
 //	                program warm-start from the stored fixpoint, and
 //	                re-analysis after an edit reruns only the changed
@@ -35,16 +35,18 @@
 //	                /analyze instead of in-process; prints the outcome,
 //	                visit count and canonical result digest. Incompatible
 //	                with the flags that need the in-process result
-//	                (-progressive, -dot, -ir, -loops, -stmt, -explain,
+//	                (-progressive, -dot, -ir, -loops, -stmt, -line,
 //	                -cache-dir — the daemon owns the store)
 //	-cpuprofile F   write a pprof CPU profile of the run to F
 //	-memprofile F   write a pprof allocation profile to F on exit
 //
 // Built-in kernel names: matvec, matmat, lu, barneshut, slist, dlist,
-// btree.
+// btree. To cross-validate a result against concrete executions, run
+// cmd/shapetriage on the same file or kernel name.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -61,7 +63,6 @@ import (
 	"repro/internal/rsg"
 	"repro/internal/service"
 	"repro/internal/store"
-	"repro/internal/triage"
 )
 
 func main() {
@@ -71,12 +72,12 @@ func main() {
 	loops := flag.Bool("loops", false, "print the per-loop dependence report")
 	dumpIR := flag.Bool("ir", false, "print the lowered IR")
 	stmt := flag.Int("stmt", -1, "dump the RSRSG after this statement id")
+	line := flag.Int("line", -1, "dump the RSRSG after every statement of this source line")
 	budget := flag.Int("budget", 0, "node budget (0 = unlimited)")
 	stats := flag.Bool("stats", false, "print delta/digest-cache and scheduling counters")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS, 1 = sequential)")
 	cacheDir := flag.String("cache-dir", "", "directory for the persistent analysis store (warm-start and edit-delta re-analysis)")
 	remote := flag.String("remote", "", "shaped daemon base URL; run the analysis via POST /analyze instead of in-process")
-	explain := flag.Bool("explain", false, "cross-validate against concrete traces; print the triage report on a cover failure")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the analysis to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof allocation profile to this file on exit")
 	flag.Parse()
@@ -91,8 +92,8 @@ func main() {
 	if *remote != "" {
 		for name, set := range map[string]bool{
 			"-progressive": *progressive, "-dot": *dot, "-ir": *dumpIR,
-			"-loops": *loops, "-explain": *explain,
-			"-stmt": *stmt >= 0, "-cache-dir": *cacheDir != "",
+			"-loops": *loops, "-stmt": *stmt != -1, "-line": *line != -1,
+			"-cache-dir": *cacheDir != "",
 		} {
 			if set {
 				fatal(fmt.Errorf("%s is not supported with -remote (the daemon owns the store and returns digests, not graphs)", name))
@@ -159,6 +160,11 @@ func main() {
 	if *dumpIR {
 		fmt.Println(prog)
 	}
+	selected, err := selectStmts(prog, *stmt, *line)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "shapec:", err)
+		os.Exit(2)
+	}
 
 	opts := analysis.Options{NodeBudget: *budget, Workers: *workers}
 	if *cacheDir != "" {
@@ -184,13 +190,10 @@ func main() {
 			}
 		}
 		if res := pres.Final.Result; res != nil {
-			printResult(res, *dot, *stmt)
+			printResult(res, *dot, selected)
 			if *loops {
 				fmt.Println("\nloop dependence report:")
 				fmt.Print(checker.FormatLoopReports(checker.AnalyzeLoops(res)))
-			}
-			if *explain {
-				explainResult(prog, res)
 			}
 		}
 		return
@@ -215,13 +218,10 @@ func main() {
 		ok, detail := g.Met(res)
 		fmt.Printf("goal %-35s %-5v %s\n", g.Name(), ok, detail)
 	}
-	printResult(res, *dot, *stmt)
+	printResult(res, *dot, selected)
 	if *loops {
 		fmt.Println("\nloop dependence report:")
 		fmt.Print(checker.FormatLoopReports(checker.AnalyzeLoops(res)))
-	}
-	if *explain {
-		explainResult(prog, res)
 	}
 }
 
@@ -236,36 +236,60 @@ func printStats(level string, s *analysis.Stats) {
 	}
 }
 
-// explainResult cross-validates the analysis result against randomized
-// concrete executions (fixed budget; cmd/shapetriage exposes the knobs)
-// and exits 1 with the triage report when a heap escapes coverage.
-func explainResult(prog *ir.Program, res *analysis.Result) {
-	const runs, seed = 50, 1
-	rep, err := triage.Explain(prog, res, runs, seed)
-	if err != nil {
-		fatal(err)
+// selectStmts resolves -stmt and -line (-1 when unset) to the IR
+// statements to dump. An ID outside the program, a line that lowers to
+// no statement, or both flags at once is a usage error.
+func selectStmts(prog *ir.Program, stmt, line int) ([]int, error) {
+	switch {
+	case stmt != -1 && line != -1:
+		return nil, errors.New("-stmt and -line are exclusive")
+	case stmt != -1:
+		if stmt < 0 || stmt >= len(prog.Stmts) {
+			return nil, fmt.Errorf("-stmt %d: statement IDs run from 0 to %d", stmt, len(prog.Stmts)-1)
+		}
+		return []int{stmt}, nil
+	case line != -1:
+		var ids []int
+		for _, s := range prog.Stmts {
+			if s.Line == line {
+				ids = append(ids, s.ID)
+			}
+		}
+		if len(ids) == 0 {
+			return nil, fmt.Errorf("-line %d: no statement at that line", line)
+		}
+		return ids, nil
 	}
-	if rep == nil {
-		fmt.Printf("\nexplain: %s covers all heaps observed over %d runs\n", res.Level, runs)
-		return
-	}
-	fmt.Printf("\nexplain: SOUNDNESS VIOLATION\n%s", rep.Text())
-	os.Exit(1)
+	return nil, nil
 }
 
-func printResult(res *analysis.Result, dot bool, stmtID int) {
+// printResult renders the exit-state summary, then the selected
+// statements' RSRSGs as text, or as dot with -dot. With -dot and no
+// selection it renders the exit RSRSG.
+func printResult(res *analysis.Result, dot bool, selected []int) {
 	fmt.Println("\nexit-state summary:")
 	fmt.Print(checker.FormatReport(checker.Report(res)))
-	if stmtID >= 0 {
-		if set := res.Out[stmtID]; set != nil {
-			fmt.Printf("\nRSRSG after statement %d (%s): %d RSGs\n%s\n",
-				stmtID, res.Program.Stmt(stmtID), set.Len(), set)
+	for _, id := range selected {
+		set := res.Out[id]
+		if set == nil {
+			fmt.Printf("\nRSRSG after statement %d (%s): unreachable\n", id, res.Program.Stmt(id))
+			continue
+		}
+		fmt.Printf("\nRSRSG after statement %d (%s): %d RSGs\n", id, res.Program.Stmt(id), set.Len())
+		if dot {
+			printDOT(set.Graphs(), fmt.Sprintf("s%d", id))
+		} else {
+			fmt.Println(set)
 		}
 	}
-	if dot {
-		for i, g := range res.ExitSet().Graphs() {
-			fmt.Print(rsg.DOT(g, fmt.Sprintf("exit_%d", i)))
-		}
+	if dot && len(selected) == 0 {
+		printDOT(res.ExitSet().Graphs(), "exit")
+	}
+}
+
+func printDOT(graphs []*rsg.Graph, prefix string) {
+	for i, g := range graphs {
+		fmt.Print(rsg.DOT(g, fmt.Sprintf("%s_%d", prefix, i)))
 	}
 }
 

@@ -18,7 +18,6 @@
 //	-max-timeout D      ceiling on requested timeouts (2m)
 //	-max-visits N       ceiling on requested visit budgets (200000)
 //	-max-node-budget N  ceiling on requested node budgets (0 = none)
-//	-analysis-workers N engine goroutines per request (default 1)
 //
 // SIGINT/SIGTERM drains: the listener closes, in-flight requests run
 // to completion, then the store is closed and the process exits 0.
@@ -49,7 +48,6 @@ func main() {
 	maxTimeout := flag.Duration("max-timeout", 2*time.Minute, "ceiling on requested timeouts")
 	maxVisits := flag.Int("max-visits", 200000, "ceiling on requested visit budgets")
 	maxNodeBudget := flag.Int("max-node-budget", 0, "ceiling on requested node budgets (0 = none)")
-	analysisWorkers := flag.Int("analysis-workers", 1, "engine goroutines per request")
 	drainTimeout := flag.Duration("drain-timeout", time.Minute, "shutdown drain deadline")
 	flag.Parse()
 	if flag.NArg() != 0 {
@@ -62,13 +60,12 @@ func main() {
 	log.SetFlags(log.LstdFlags | log.Lmsgprefix)
 
 	cfg := service.Config{
-		Workers:         *workers,
-		Queue:           *queue,
-		DefaultTimeout:  *timeout,
-		MaxTimeout:      *maxTimeout,
-		MaxVisits:       *maxVisits,
-		MaxNodeBudget:   *maxNodeBudget,
-		AnalysisWorkers: *analysisWorkers,
+		Workers:        *workers,
+		Queue:          *queue,
+		DefaultTimeout: *timeout,
+		MaxTimeout:     *maxTimeout,
+		MaxVisits:      *maxVisits,
+		MaxNodeBudget:  *maxNodeBudget,
 	}
 	if *cacheDir != "" {
 		if err := os.MkdirAll(*cacheDir, 0o755); err != nil {

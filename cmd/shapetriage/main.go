@@ -1,15 +1,16 @@
 // Command shapetriage turns a soundness-fuzzer find into an actionable
-// bug report: it runs the analysis on a mini-C program (a file or a
-// regenerated fuzz seed), cross-validates the result against randomized
-// concrete executions, and when a reachable heap escapes the computed
-// RSRSG it replays the embedding search with full introspection — the
-// report names the failing statement and the exact node property
-// (SELIN/SELOUT, SHARED/SHSEL, CYCLELINKS, SPATH, ...) that rejected
-// the nearest embedding. DESIGN.md §11 describes the workflow.
+// bug report: it runs the analysis on a mini-C program (a file, a
+// built-in kernel or a regenerated fuzz seed), cross-validates the
+// result against randomized concrete executions, and when a reachable
+// heap escapes the computed RSRSG it replays the embedding search with
+// full introspection — the report names the failing statement and the
+// exact node property (SELIN/SELOUT, SHARED/SHSEL, CYCLELINKS, SPATH,
+// ...) that rejected the nearest embedding. DESIGN.md §11 describes
+// the workflow.
 //
 // Usage:
 //
-//	shapetriage [flags] <file.c>
+//	shapetriage [flags] <file.c | kernel-name>
 //	shapetriage [flags] -genseed N
 //
 //	-level N     analysis level 1..3 (default 1)
@@ -18,10 +19,7 @@
 //	-genseed N   regenerate the fuzzer program of seed N instead of
 //	             reading a file (matches TestFuzzSoundness's "genseed"
 //	             failure output)
-//	-wide       with -genseed, use the wide-struct generator
-//	-legacy      run the engine with its historical soundness bugs
-//	             restored (analysis.Options.LegacyUnsound) — for
-//	             reproducing fixed bugs on their corpus cases
+//	-wide        with -genseed, use the wide-struct generator
 //	-dot         print the side-by-side DOT pair (concrete heap +
 //	             nearest RSG, best partial embedding highlighted)
 //	-shrink      delta-debug the program to a minimal case that still
@@ -29,6 +27,9 @@
 //	-o FILE      with -shrink, also write the minimal case to FILE
 //	             (e.g. internal/concrete/testdata/x.c)
 //	-workers N   analysis worker goroutines (0 = GOMAXPROCS)
+//
+// Built-in kernel names are shapec's: matvec, matmat, lu, barneshut,
+// slist, dlist, btree.
 //
 // Exit status: 0 when the analysis covers every observed heap, 1 on a
 // soundness violation (the report is printed), 2 on usage or input
@@ -42,6 +43,7 @@ import (
 	"os"
 
 	"repro/internal/analysis"
+	"repro/internal/benchprog"
 	"repro/internal/cminic"
 	"repro/internal/concrete"
 	"repro/internal/ir"
@@ -55,7 +57,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "PRNG seed for the concrete traces")
 	genSeed := flag.Int64("genseed", 0, "regenerate the fuzzer program of this seed")
 	wide := flag.Bool("wide", false, "with -genseed, use the wide-struct generator")
-	legacy := flag.Bool("legacy", false, "restore the engine's historical soundness bugs")
 	dot := flag.Bool("dot", false, "print the heap/RSG DOT pair on failure")
 	shrink := flag.Bool("shrink", false, "delta-debug to a minimal failing program")
 	outFile := flag.String("o", "", "with -shrink, write the minimal case here")
@@ -69,11 +70,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	opts := analysis.Options{
-		Level:         rsg.Level(*level),
-		Workers:       *workers,
-		LegacyUnsound: *legacy,
-	}
+	opts := analysis.Options{Level: rsg.Level(*level), Workers: *workers}
 	if opts.Level < rsg.L1 || opts.Level > rsg.L3 {
 		fatal(fmt.Errorf("invalid level %d", *level))
 	}
@@ -128,9 +125,12 @@ func loadSource(genSeed int64, wide bool) (src, name string, err error) {
 		return concrete.GenProgram(rng), fmt.Sprintf("genseed %d", genSeed), nil
 	}
 	if flag.NArg() != 1 {
-		return "", "", fmt.Errorf("usage: shapetriage [flags] <file.c>  |  shapetriage [flags] -genseed N")
+		return "", "", fmt.Errorf("usage: shapetriage [flags] <file.c | kernel-name>  |  shapetriage [flags] -genseed N")
 	}
 	arg := flag.Arg(0)
+	if k := benchprog.ByName(arg); k != nil {
+		return k.Source, k.Name, nil
+	}
 	b, err := os.ReadFile(arg)
 	if err != nil {
 		return "", "", err

@@ -46,12 +46,6 @@ type Context struct {
 	// NoCompress skips per-statement compression; only the ablation
 	// benchmarks set it.
 	NoCompress bool
-	// LegacyUnsound restores the engine's two historical soundness bugs:
-	// PRUNE is routed to rsg.PruneLegacyShare (pre-anchoring share
-	// eviction) and re-linking keeps the stale vacuous CYCLELINKS pairs
-	// JOIN can leave behind. Only the triage tooling sets it, to
-	// reproduce and regression-test historical soundness failures.
-	LegacyUnsound bool
 }
 
 // Diagnostics counts noteworthy abstract events.
@@ -160,12 +154,7 @@ func EraseTouch(ctx *Context, in *rsrsg.Set, ipvars rsg.PvarSet) *rsrsg.Set {
 }
 
 func divide(ctx *Context, g *rsg.Graph, x, sel rsg.Sym) []rsg.Division {
-	var divs []rsg.Division
-	if ctx.LegacyUnsound {
-		divs = rsg.DivideLegacyShareSym(g, x, sel)
-	} else {
-		divs = rsg.DivideSym(g, x, sel)
-	}
+	divs := rsg.DivideSym(g, x, sel)
 	if ctx.Diags != nil {
 		// Count branches the division pruned away as infeasible.
 		n := g.PvarTargetSym(x)
@@ -193,14 +182,10 @@ func materialize(ctx *Context, g *rsg.Graph, src rsg.NodeID, sel rsg.Sym) rsg.No
 }
 
 func prune(ctx *Context, g *rsg.Graph) bool {
-	pruneFn := rsg.Prune
-	if ctx.LegacyUnsound {
-		pruneFn = rsg.PruneLegacyShare
-	}
 	if ctx.DisableCyclePrune {
-		return pruneWithoutCycles(g, pruneFn)
+		return pruneWithoutCycles(g)
 	}
-	ok := pruneFn(g)
+	ok := rsg.Prune(g)
 	if !ok && ctx.Diags != nil {
 		ctx.Diags.InfeasibleBranches++
 	}
@@ -209,13 +194,13 @@ func prune(ctx *Context, g *rsg.Graph) bool {
 
 // pruneWithoutCycles is the ablation variant: it blanks the CYCLELINKS
 // sets so NL_PRUNE never fires, then restores them.
-func pruneWithoutCycles(g *rsg.Graph, pruneFn func(*rsg.Graph) bool) bool {
+func pruneWithoutCycles(g *rsg.Graph) bool {
 	saved := make(map[rsg.NodeID]rsg.CycleSet)
 	for _, n := range g.Nodes() {
 		saved[n.ID] = n.Cycle
 		n.Cycle = rsg.NewCycleSet()
 	}
-	ok := pruneFn(g)
+	ok := rsg.Prune(g)
 	for _, n := range g.Nodes() {
 		if c, found := saved[n.ID]; found {
 			n.Cycle = c

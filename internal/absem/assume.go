@@ -30,26 +30,16 @@ func AssumeNonNullSym(ctx *Context, in *rsrsg.Set, x rsg.Sym) *rsrsg.Set {
 	return in.Filter(func(g *rsg.Graph) bool { return g.PvarTargetSym(x) != nil })
 }
 
-// AssumeNullDelta is the semi-naïve variant of AssumeNull: instead of
-// re-filtering the whole in-state, it folds an in-state membership
-// delta into the cached filter result. Because the filter is a plain
-// per-graph predicate, applying the delta yields exactly the set a full
-// AssumeNull over the new in-state would build.
-func AssumeNullDelta(ctx *Context, cached *rsrsg.Set, added []*rsg.Graph, removed []rsg.Digest, x string) {
-	AssumeNullDeltaSym(ctx, cached, added, removed, rsg.PvarSym(x))
-}
-
-// AssumeNullDeltaSym is AssumeNullDelta addressed by interned pvar.
+// AssumeNullDeltaSym is the semi-naïve variant of AssumeNullSym:
+// instead of re-filtering the whole in-state, it folds an in-state
+// membership delta into the cached filter result. Because the filter is
+// a plain per-graph predicate, applying the delta yields exactly the
+// set a full AssumeNullSym over the new in-state would build.
 func AssumeNullDeltaSym(ctx *Context, cached *rsrsg.Set, added []*rsg.Graph, removed []rsg.Digest, x rsg.Sym) {
 	assumeDelta(cached, ctx.Opts.Stats, added, removed, func(g *rsg.Graph) bool { return g.PvarTargetSym(x) == nil })
 }
 
-// AssumeNonNullDelta is the semi-naïve variant of AssumeNonNull.
-func AssumeNonNullDelta(ctx *Context, cached *rsrsg.Set, added []*rsg.Graph, removed []rsg.Digest, x string) {
-	AssumeNonNullDeltaSym(ctx, cached, added, removed, rsg.PvarSym(x))
-}
-
-// AssumeNonNullDeltaSym is AssumeNonNullDelta addressed by interned pvar.
+// AssumeNonNullDeltaSym is the semi-naïve variant of AssumeNonNullSym.
 func AssumeNonNullDeltaSym(ctx *Context, cached *rsrsg.Set, added []*rsg.Graph, removed []rsg.Digest, x rsg.Sym) {
 	assumeDelta(cached, ctx.Opts.Stats, added, removed, func(g *rsg.Graph) bool { return g.PvarTargetSym(x) != nil })
 }

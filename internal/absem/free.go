@@ -1,21 +1,9 @@
 package absem
 
-import (
-	"repro/internal/rsg"
-	"repro/internal/rsrsg"
-)
+import "repro/internal/rsg"
 
-// StepFree is the per-graph semantics of "free(x)". sels lists the
+// StepFreeSym is the per-graph semantics of "free(x)". sels lists the
 // pointer selectors of the freed struct type.
-func StepFree(ctx *Context, g *rsg.Graph, x string, sels []string) []*rsg.Graph {
-	syms := make([]rsg.Sym, len(sels))
-	for i, sel := range sels {
-		syms[i] = rsg.SelSym(sel)
-	}
-	return StepFreeSym(ctx, g, rsg.PvarSym(x), syms)
-}
-
-// StepFreeSym is StepFree addressed by interned symbols.
 //
 // free(NULL) is a no-op (as in C). Otherwise the freed cell's outgoing
 // references die with it, which is exactly the effect of "x->sel =
@@ -47,9 +35,4 @@ func StepFreeSym(ctx *Context, g *rsg.Graph, x rsg.Sym, sels []rsg.Sym) []*rsg.G
 		out = append(out, StepNilSym(ctx, h, x)...)
 	}
 	return out
-}
-
-// XFree is the abstract semantics of "free(x)" over an RSRSG.
-func XFree(ctx *Context, in *rsrsg.Set, x string, sels []string) *rsrsg.Set {
-	return mapStep(ctx, in, func(g *rsg.Graph) []*rsg.Graph { return StepFree(ctx, g, x, sels) })
 }

@@ -73,10 +73,10 @@ func unlinkSym(g *rsg.Graph, a rsg.NodeID, sel rsg.Sym, b rsg.NodeID) {
 // has already ensured a has no sel link (unlink ran first) and both a
 // and b are singleton nodes (a is pvar-referenced; b is a pvar target).
 func link(g *rsg.Graph, a rsg.NodeID, sel string, b rsg.NodeID) {
-	linkSym(g, a, rsg.SelSym(sel), b, false)
+	linkSym(g, a, rsg.SelSym(sel), b)
 }
 
-func linkSym(g *rsg.Graph, a rsg.NodeID, sel rsg.Sym, b rsg.NodeID, legacy bool) {
+func linkSym(g *rsg.Graph, a rsg.NodeID, sel rsg.Sym, b rsg.NodeID) {
 	selName := rsg.SelName(sel)
 	na, nb := g.Node(a), g.Node(b)
 
@@ -89,13 +89,10 @@ func linkSym(g *rsg.Graph, a rsg.NodeID, sel rsg.Sym, b rsg.NodeID, legacy bool)
 	// Cycle pairs of a starting with sel were vacuously true while a had
 	// no sel reference (MERGE_NODES keeps such pairs across JOIN); the
 	// new reference ends the vacuity, so they only survive if b closes
-	// them — which the re-derivation below re-adds. The legacy ablation
-	// keeps the stale pairs, restoring the historical unsoundness.
-	if !legacy {
-		for _, pair := range na.Cycle.Sorted() {
-			if pair.Out == selName {
-				na.Cycle.Remove(pair)
-			}
+	// them — which the re-derivation below re-adds.
+	for _, pair := range na.Cycle.Sorted() {
+		if pair.Out == selName {
+			na.Cycle.Remove(pair)
 		}
 	}
 

@@ -24,9 +24,6 @@ import (
 type Options struct {
 	// Level is the progressive analysis level (default L1).
 	Level rsg.Level
-	// MaxGraphsPerStmt bounds the RSGs kept per statement; compatible
-	// graphs are force-joined past the bound. 0 means the default (64).
-	MaxGraphsPerStmt int
 	// MaxVisits bounds the total number of statement transfers before
 	// the engine reports non-convergence. 0 means the default (200000).
 	MaxVisits int
@@ -43,12 +40,6 @@ type Options struct {
 	// TouchAllPvars widens TOUCH eligibility from induction pvars to
 	// every pvar (ablation of the paper's restriction).
 	TouchAllPvars bool
-	// LegacyUnsound restores the engine's historical soundness bugs
-	// (pre-anchoring PRUNE share eviction and stale vacuous CYCLELINKS
-	// pairs on re-link; see absem.Context.LegacyUnsound). Only the
-	// triage tooling sets it, to reproduce historical failures on
-	// demand.
-	LegacyUnsound bool
 	// Timeout aborts the run with ErrTimeout when the fixed point takes
 	// longer than this wall-clock duration. 0 = no limit.
 	Timeout time.Duration
@@ -73,6 +64,11 @@ type Options struct {
 	// on a program with no changes, which must still be bit-identical.
 	forceEditDelta bool
 }
+
+// maxGraphsPerStmt bounds the RSGs kept per statement: past it, graphs
+// with equal alias relations are force-joined (rsrsg.Options.MaxGraphs).
+// Covered by the options fingerprint like widenHeadAfter.
+const maxGraphsPerStmt = 64
 
 // ErrBudgetExceeded reports that the abstraction outgrew NodeBudget.
 var ErrBudgetExceeded = errors.New("analysis: node budget exceeded (out of memory)")
@@ -278,9 +274,6 @@ func Run(prog *ir.Program, opts Options) (*Result, error) {
 	if opts.Level == 0 {
 		opts.Level = rsg.L1
 	}
-	if opts.MaxGraphsPerStmt == 0 {
-		opts.MaxGraphsPerStmt = 64
-	}
 	if opts.MaxVisits == 0 {
 		opts.MaxVisits = 200000
 	}
@@ -422,7 +415,6 @@ func Run(prog *ir.Program, opts Options) (*Result, error) {
 			Diags:             &res.Diags,
 			DisableCyclePrune: opts.DisableCyclePrune,
 			NoCompress:        opts.NoCompress,
-			LegacyUnsound:     opts.LegacyUnsound,
 		}
 		if opts.Level.UseTouch() {
 			if opts.TouchAllPvars {

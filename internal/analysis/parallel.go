@@ -133,7 +133,7 @@ func newEngineRun(opts Options, start time.Time) *engineRun {
 	}
 	e.reduceOpts = rsrsg.Options{
 		DisableJoin: opts.DisableJoin,
-		MaxGraphs:   opts.MaxGraphsPerStmt,
+		MaxGraphs:   maxGraphsPerStmt,
 		Joins:       rsrsg.NewJoinCache(),
 		Stats:       e.rec,
 	}

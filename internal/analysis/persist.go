@@ -42,8 +42,10 @@ import (
 // invalidation story for semantics changes in the engine. Schema 2:
 // the WTO scheduler landed (DESIGN.md §14) — widening points moved.
 // Schema 3: WTO became the only scheduler, and the scheduler and the
-// RPO widening cap left the fingerprint.
-const persistSchema = 3
+// RPO widening cap left the fingerprint. Schema 4: the legacy soundness
+// replay left the options, and the per-statement graph bound became
+// the constant maxGraphsPerStmt.
+const persistSchema = 4
 
 type persistMode int
 
@@ -74,8 +76,8 @@ type persistPlan struct {
 }
 
 // optionsFingerprint hashes every option that changes analysis
-// *results* — level, reduction and soundness knobs, and the widening
-// threshold. Budgets (MaxVisits, NodeBudget, Timeout) are deliberately
+// *results* — level and the reduction knobs — plus the engine constants
+// that do: the per-statement graph bound and the widening threshold. Budgets (MaxVisits, NodeBudget, Timeout) are deliberately
 // excluded and handled by the snapshot eligibility rules; Workers is
 // excluded because any setting produces bit-identical digests
 // (DESIGN.md §7).
@@ -95,14 +97,14 @@ func optionsFingerprint(opts Options) uint64 {
 	}
 	put(persistSchema)
 	put(uint64(opts.Level))
-	put(uint64(opts.MaxGraphsPerStmt))
 	putBool(opts.DisableJoin)
 	putBool(opts.DisableCyclePrune)
 	putBool(opts.NoCompress)
 	putBool(opts.TouchAllPvars)
-	putBool(opts.LegacyUnsound)
-	// The widening threshold is result-affecting: it decides which
+	// Both constants are result-affecting: the graph bound decides when
+	// compatible graphs are force-joined, the widening threshold which
 	// loop heads accumulate their out-states.
+	put(maxGraphsPerStmt)
 	put(widenHeadAfter)
 	return h.Sum64()
 }

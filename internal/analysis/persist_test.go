@@ -297,7 +297,6 @@ func TestPersistFingerprintInvalidation(t *testing.T) {
 	variants := []Options{
 		{Store: st, Level: rsg.L2},
 		{Store: st, DisableJoin: true},
-		{Store: st, MaxGraphsPerStmt: 8},
 	}
 	for i, opts := range variants {
 		res, err := Run(compileSrc(t, persistSrc), opts)

@@ -224,13 +224,6 @@ func (p *Path) String() string {
 	return p.Base + "->" + strings.Join(p.Sels, "->")
 }
 
-// Clone returns an independent copy of the path.
-func (p *Path) Clone() *Path {
-	sels := make([]string, len(p.Sels))
-	copy(sels, p.Sels)
-	return &Path{Base: p.Base, Sels: sels, Line: p.Line}
-}
-
 func (f *File) String() string {
 	var b strings.Builder
 	for _, s := range f.Structs {

@@ -1,8 +1,8 @@
 // Hub-rotation soundness regression, distilled by triage.Shrink from
 // the fuzzer find: a hub h keeps two selectors into the growing chain
-// while the chain head rotates (p = q). The pre-anchoring PRUNE evicted
-// the hub's prv sharing and dropped reachable heaps at L1; see
-// analysis.Options.LegacyUnsound and DESIGN.md §11.
+// while the chain head rotates (p = q). PRUNE's share rule once
+// evicted the hub's prv sharing on the strength of an unanchored JOIN
+// copy and dropped reachable heaps at L1; see DESIGN.md §11.
 struct node { struct node *nxt; struct node *prv; };
 void main(void) {
     struct node *h;

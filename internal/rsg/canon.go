@@ -128,12 +128,8 @@ func appendSignature(g *Graph, buf []byte, cs *canonScratch) []byte {
 	return buf
 }
 
-// nodeDescriptor encodes every intrinsic property of a node (ID
-// excluded) for use in signatures and tie-breaking.
-func nodeDescriptor(n *Node) string {
-	return string(appendNodeDescriptor(make([]byte, 0, 64), n))
-}
-
+// appendNodeDescriptor appends an encoding of every intrinsic property
+// of a node (ID excluded) for use in signatures and tie-breaking.
 func appendNodeDescriptor(buf []byte, n *Node) []byte {
 	buf = append(buf, n.Type...)
 	if n.Singleton {

@@ -28,17 +28,6 @@ func Divide(g *Graph, x string, sel string) []Division {
 
 // DivideSym is Divide addressed by interned pvar and selector.
 func DivideSym(g *Graph, x, sel Sym) []Division {
-	return divideSym(g, x, sel, Prune)
-}
-
-// DivideLegacyShareSym is DivideSym with the pre-anchoring PRUNE on the
-// division branches (see PruneLegacyShare); only the triage ablation
-// routes here.
-func DivideLegacyShareSym(g *Graph, x, sel Sym) []Division {
-	return divideSym(g, x, sel, PruneLegacyShare)
-}
-
-func divideSym(g *Graph, x, sel Sym, pruneFn func(*Graph) bool) []Division {
 	n := g.PvarTargetSym(x)
 	if n == nil {
 		return nil
@@ -63,7 +52,7 @@ func divideSym(g *Graph, x, sel Sym, pruneFn func(*Graph) bool) []Division {
 		} else {
 			dst.MarkPossibleInSym(sel)
 		}
-		if pruneFn(gi) {
+		if Prune(gi) {
 			out = append(out, Division{G: gi, Target: t})
 		}
 	}
@@ -81,7 +70,7 @@ func divideSym(g *Graph, x, sel Sym, pruneFn func(*Graph) bool) []Division {
 				gi.RefreshSingleton(t)
 			}
 		}
-		if pruneFn(gi) {
+		if Prune(gi) {
 			out = append(out, Division{G: gi, Target: -1})
 		}
 	}

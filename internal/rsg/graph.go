@@ -471,59 +471,6 @@ func (g *Graph) OutSelectors(src NodeID) []string {
 	return out
 }
 
-// eachOutSelector calls f for every distinct selector out of src, in
-// name order, without allocating.
-func (g *Graph) eachOutSelector(src NodeID, f func(Sym)) {
-	var last Sym
-	for _, e := range g.outRun(src) {
-		if e.sel != last {
-			f(e.sel)
-			last = e.sel
-		}
-	}
-}
-
-// inSelectorSyms appends the distinct selectors into dst to syms in
-// name order.
-func (g *Graph) inSelectorSyms(dst NodeID, syms []Sym) []Sym {
-	run := g.inRun(dst)
-	if len(run) == 0 {
-		return syms
-	}
-	base := len(syms)
-	for _, e := range run {
-		dup := false
-		for _, y := range syms[base:] {
-			if y == e.sel {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			syms = append(syms, e.sel)
-		}
-	}
-	// The run is (src, rank)-ordered, so dedup order is not name order.
-	selTab.load().sortByRank(syms[base:])
-	return syms
-}
-
-// InSelectors returns the sorted selectors with at least one incoming
-// link into dst.
-func (g *Graph) InSelectors(dst NodeID) []string {
-	var tmp [8]Sym
-	syms := g.inSelectorSyms(dst, tmp[:0])
-	if len(syms) == 0 {
-		return nil
-	}
-	out := make([]string, len(syms))
-	snap := selTab.load()
-	for i, y := range syms {
-		out[i] = snap.names[y-1]
-	}
-	return out
-}
-
 // InLinks returns all links into dst, sorted by (Src, Sel).
 func (g *Graph) InLinks(dst NodeID) []Link {
 	run := g.inRun(dst)
@@ -567,15 +514,6 @@ func (g *Graph) Links() []Link {
 		out[i] = Link{Src: e.a, Sel: snap.names[e.sel-1], Dst: e.b}
 	}
 	return out
-}
-
-// ForEachLink calls f for every NL entry; the order is unspecified (use
-// it when the order is irrelevant: cloning, counting).
-func (g *Graph) ForEachLink(f func(Link)) {
-	snap := selTab.load()
-	for _, e := range g.outE {
-		f(Link{Src: e.a, Sel: snap.names[e.sel-1], Dst: e.b})
-	}
 }
 
 // RemoveNode deletes a node, all its links and any pvar references to it.

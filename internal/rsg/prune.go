@@ -23,19 +23,7 @@ package rsg
 //     entry (SELIN/SELOUT minus the possible sets) has no witnessing
 //     link left.
 //  4. Unreachable nodes are garbage collected.
-func Prune(g *Graph) bool { return prune(g, false) }
-
-// PruneLegacyShare is Prune without the anchoring restriction on rule
-// 2: any definite incoming link evicts its siblings, even when its
-// source node is an unmatched JOIN copy that exists only in some of the
-// covered configurations. That was the pre-anchoring behavior and it is
-// unsound (it loses links of the configurations the copy is absent
-// from); the variant is kept as an ablation so the triage tooling can
-// reproduce and regression-test historical failures. Only
-// absem.Context.LegacyUnsound routes here.
-func PruneLegacyShare(g *Graph) bool { return prune(g, true) }
-
-func prune(g *Graph, legacyShare bool) bool {
+func Prune(g *Graph) bool {
 	ws := getWorkScratch()
 	defer putWorkScratch(ws)
 	anchored := ws.marks
@@ -76,13 +64,7 @@ func prune(g *Graph, legacyShare bool) bool {
 		// so a definite link out of such a node proves nothing about the
 		// other configurations and must not evict their links.
 		anchored = growBool(anchored[:0], len(g.ids))
-		if legacyShare {
-			for i := range anchored {
-				anchored[i] = true
-			}
-		} else {
-			g.anchoredByPos(anchored)
-		}
+		g.anchoredByPos(anchored)
 		for pos := 0; pos < len(g.ids); pos++ {
 			id := g.ids[pos]
 			b := g.nodes[pos]

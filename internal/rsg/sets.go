@@ -317,20 +317,11 @@ func (s *PvarSet) Add(p string) { s.b.addSym(pvarTab.intern(p)) }
 // AddSym inserts the interned pvar y into the set.
 func (s *PvarSet) AddSym(y Sym) { s.b.addSym(y) }
 
-// Remove deletes p from the set.
-func (s *PvarSet) Remove(p string) { s.b.removeSym(pvarTab.lookup(p)) }
-
-// RemoveSym deletes the interned pvar y from the set.
-func (s *PvarSet) RemoveSym(y Sym) { s.b.removeSym(y) }
-
 // Len returns the number of pvars in the set.
 func (s PvarSet) Len() int { return s.b.size() }
 
 // Empty reports whether the set has no members.
 func (s PvarSet) Empty() bool { return s.b.empty() }
-
-// Clone returns an independent copy of the set.
-func (s PvarSet) Clone() PvarSet { return s } // mutations are copy-on-write
 
 // Equal reports whether two sets hold the same pvars.
 func (s PvarSet) Equal(o PvarSet) bool { return s.b.equal(o.b) }
@@ -343,9 +334,6 @@ func (s PvarSet) Minus(o PvarSet) PvarSet { return PvarSet{s.b.minus(o.b)} }
 
 // Intersects reports whether the two sets share a member.
 func (s PvarSet) Intersects(o PvarSet) bool { return s.b.intersects(o.b) }
-
-// EachSym calls f for every member in ascending Sym order.
-func (s PvarSet) EachSym(f func(Sym)) { s.b.eachSym(f) }
 
 // Sorted returns the pvars in lexicographic order.
 func (s PvarSet) Sorted() []string { return s.b.sortedNames(&pvarTab) }
@@ -437,19 +425,6 @@ func (s CycleSet) Empty() bool { return len(s.pairs) == 0 }
 
 // Clone returns an independent copy of the set.
 func (s CycleSet) Clone() CycleSet { return s } // mutations are copy-on-write
-
-// Equal reports whether two sets hold the same pairs.
-func (s CycleSet) Equal(o CycleSet) bool {
-	if len(s.pairs) != len(o.pairs) {
-		return false
-	}
-	for i, p := range s.pairs {
-		if o.pairs[i] != p {
-			return false
-		}
-	}
-	return true
-}
 
 // Sorted returns the pairs ordered by (Out, In). The returned slice is
 // the set's backing store; callers must not modify it (mutating the set
@@ -553,9 +528,6 @@ func (s *SPathSet) Add(p SPath) {
 
 // Len returns the number of paths in the set.
 func (s SPathSet) Len() int { return len(s.paths) }
-
-// Clone returns an independent copy of the set.
-func (s SPathSet) Clone() SPathSet { return s } // mutations are copy-on-write
 
 // ZeroLen returns the subset of zero-length paths.
 func (s SPathSet) ZeroLen() SPathSet {
@@ -665,10 +637,6 @@ func (s SPathSet) oneLenIntersects(o SPathSet) bool {
 		}
 	}
 }
-
-// Sorted returns the paths ordered by (Pvar, Sel). The returned slice
-// is the set's backing store; callers must not modify it.
-func (s SPathSet) Sorted() []SPath { return s.paths }
 
 // String renders the set with sorted elements.
 func (s SPathSet) String() string {

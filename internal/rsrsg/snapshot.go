@@ -23,17 +23,12 @@ func (s *Set) MemberDigests() []rsg.Digest {
 	return out
 }
 
-// RestoreSet rebuilds a Set from decoded member graphs without reducing.
+// RestoreSetStats rebuilds a Set from decoded member graphs without
+// reducing, attributing the intern work to rec (nil records nothing).
 // Graphs are interned (decode already froze them; Intern dedups against
 // the process cache) and inserted in canonical digest order, so the
 // restored set is structurally identical — same entries, same order,
 // same XOR digest — to the set MemberDigests was taken from.
-func RestoreSet(graphs []*rsg.Graph) *Set {
-	return RestoreSetStats(graphs, nil)
-}
-
-// RestoreSetStats is RestoreSet with the intern work attributed to rec;
-// a nil rec is identical to RestoreSet.
 func RestoreSetStats(graphs []*rsg.Graph, rec *rsg.RunStats) *Set {
 	s := New()
 	for _, g := range graphs {

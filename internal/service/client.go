@@ -30,10 +30,6 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("shaped: HTTP %d: %s", e.Code, e.Msg)
 }
 
-// IsTimeout reports whether the daemon answered 504 — the request's
-// analysis budget expired server-side.
-func (e *StatusError) IsTimeout() bool { return e.Code == http.StatusGatewayTimeout }
-
 func (c *Client) post(path string, req, resp any) error {
 	body, err := json.Marshal(req)
 	if err != nil {

@@ -22,6 +22,11 @@ import (
 // maxBodyBytes bounds request bodies; mini-C sources are small.
 const maxBodyBytes = 4 << 20
 
+// engineWorkers is the analysis worker count inside each request. It
+// is 1 because admission already runs Config.Workers requests at once,
+// which fills the machine; digests do not depend on it either way.
+const engineWorkers = 1
+
 // AnalyzeRequest is the POST /analyze payload.
 type AnalyzeRequest struct {
 	// Name identifies the program in the store (snapshot warm-start and
@@ -249,7 +254,7 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 
 	opts := analysis.Options{
 		Level:   level,
-		Workers: s.cfg.AnalysisWorkers,
+		Workers: engineWorkers,
 		Store:   s.cfg.Store,
 	}
 	s.clampBudgets(&opts, req.TimeoutMS, req.MaxVisits, req.NodeBudget)
@@ -325,7 +330,7 @@ func (s *Service) handleCheck(w http.ResponseWriter, r *http.Request) {
 
 	vopts := verdict.Options{
 		Analysis: analysis.Options{
-			Workers: s.cfg.AnalysisWorkers,
+			Workers: engineWorkers,
 			Store:   s.cfg.Store,
 		},
 		ConfirmRuns: req.ConfirmRuns,

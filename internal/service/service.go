@@ -61,10 +61,6 @@ type Config struct {
 	// MaxNodeBudget is the ceiling on per-request node budgets;
 	// 0 leaves the budget unlimited unless the request sets one.
 	MaxNodeBudget int
-	// AnalysisWorkers is the engine worker count used inside each
-	// request (default 1: request-level parallelism already fills the
-	// machine, and digests are worker-count independent anyway).
-	AnalysisWorkers int
 }
 
 func (c *Config) withDefaults() Config {
@@ -85,9 +81,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.MaxVisits <= 0 {
 		out.MaxVisits = 200000
-	}
-	if out.AnalysisWorkers <= 0 {
-		out.AnalysisWorkers = 1
 	}
 	return out
 }

@@ -3,7 +3,7 @@
 // embedding check with full introspection, and a ddmin shrinker that
 // delta-debugs a failing mini-C program down to a minimal corpus case.
 // DESIGN.md §11 describes the workflow (fuzz find → explain → shrink →
-// corpus → fix); cmd/shapetriage and `shapec -explain` are the CLIs.
+// corpus → fix); cmd/shapetriage is the CLI.
 package triage
 
 import (
