@@ -1,5 +1,7 @@
 package rsg
 
+import "math/rand"
+
 // Test fixtures shared across the rsg test files.
 
 // dlist builds the paper's Fig. 1(a) RSG: a doubly-linked list of two
@@ -85,4 +87,52 @@ func slist() (*Graph, *Node, *Node, *Node) {
 
 	g.SetPvar("head", h.ID)
 	return g, h, m, t
+}
+
+// kernelGraphs returns, for one seed, the graph forms the positional
+// kernels must handle: a random graph; a copy with holes in its ID
+// range from random RemoveNode/AddNode; a clone of that grown by
+// AddNode; its codec round trip (frozen); and a clone of the decoded
+// graph grown by AddNode.
+func kernelGraphs(seed int64) []*Graph {
+	r := rand.New(rand.NewSource(seed))
+	base := randomGraph(r)
+	if seed&1 == 1 {
+		base = buildRandomGraph(r)
+	}
+	holey := base.Clone()
+	for k := 2 + r.Intn(6); k > 0; k-- {
+		if ids := holey.NodeIDs(); len(ids) > 0 && r.Intn(2) == 0 {
+			holey.RemoveNode(ids[r.Intn(len(ids))])
+		} else {
+			addRandomNode(r, holey)
+		}
+	}
+	grown := holey.Clone()
+	addRandomNode(r, grown)
+	dec, err := DecodeFrozen(EncodeFrozen(holey.Clone().Freeze()))
+	if err != nil {
+		panic(err)
+	}
+	decGrown := dec.Clone()
+	addRandomNode(r, decGrown)
+	return []*Graph{base, holey, grown, dec, decGrown}
+}
+
+// addRandomNode adds one node with random links to and from the
+// existing nodes, and sometimes points a pvar at it.
+func addRandomNode(r *rand.Rand, g *Graph) {
+	sels := []string{"nxt", "s", "u"}
+	pvars := []string{"p", "q", "r"}
+	n := g.AddNode(NewNode("a"))
+	ids := g.NodeIDs()
+	for k := r.Intn(4); k > 0; k-- {
+		g.AddLink(ids[r.Intn(len(ids))], sels[r.Intn(len(sels))], n.ID)
+	}
+	for k := r.Intn(3); k > 0; k-- {
+		g.AddLink(n.ID, sels[r.Intn(len(sels))], ids[r.Intn(len(ids))])
+	}
+	if r.Intn(2) == 0 {
+		g.SetPvar(pvars[r.Intn(len(pvars))], n.ID)
+	}
 }

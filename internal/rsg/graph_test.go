@@ -194,3 +194,79 @@ func TestHeapInDegree(t *testing.T) {
 	}
 	_ = n2
 }
+
+// TestPosOfMatchesLinearScan checks the node lookup against a linear
+// scan for every ID from 0 to one past nextID, on graphs with and
+// without holes in their ID range, on clones and on decoded graphs.
+func TestPosOfMatchesLinearScan(t *testing.T) {
+	holey := 0
+	for seed := int64(0); seed < 300; seed++ {
+		for gi, g := range kernelGraphs(seed) {
+			if int(g.nextID) > len(g.ids) {
+				holey++
+			}
+			for id := NodeID(0); id <= g.nextID+1; id++ {
+				want := -1
+				for i, x := range g.ids {
+					if x == id {
+						want = i
+					}
+				}
+				if got := g.posOf(id); got != want {
+					t.Fatalf("seed %d graph %d: posOf(%d) = %d, want %d (ids %v, nextID %d)",
+						seed, gi, id, got, want, g.ids, g.nextID)
+				}
+			}
+		}
+	}
+	if holey < 300 {
+		t.Fatalf("only %d of 1500 fixture graphs have holes in their ID range", holey)
+	}
+}
+
+// TestPositionalSPathsMatchSPathOf checks the bulk SPATH sets, built on
+// a mutable graph and cached by a frozen one, against SPathOf, the
+// per-node reference built with Add. Has must find every path of a
+// set, which fails on a set that is not sorted.
+func TestPositionalSPathsMatchSPathOf(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		for gi, g := range kernelGraphs(seed) {
+			forms := []*Graph{g}
+			if !g.Frozen() {
+				forms = append(forms, g.Clone().Freeze())
+			}
+			for _, f := range forms {
+				sets := positionalSPaths(f)
+				if len(sets) != f.NumNodes() {
+					t.Fatalf("seed %d graph %d: %d SPATH sets for %d nodes", seed, gi, len(sets), f.NumNodes())
+				}
+				for pos, id := range f.ids {
+					if want := f.SPathOf(id); !sets[pos].Equal(want) {
+						t.Fatalf("seed %d graph %d frozen=%v: SPATH(n%d) = %s, want %s",
+							seed, gi, f.Frozen(), id, sets[pos], want)
+					}
+					for _, p := range sets[pos].paths {
+						if !sets[pos].Has(p) {
+							t.Fatalf("seed %d graph %d: SPATH(n%d) = %s does not find %s", seed, gi, id, sets[pos], p)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// positionalSPaths returns g's SPATH sets parallel to its node positions.
+func positionalSPaths(g *Graph) []SPathSet {
+	if g.Frozen() {
+		m := g.SPaths()
+		out := make([]SPathSet, len(g.ids))
+		for i, id := range g.ids {
+			out[i] = m[id]
+		}
+		return out
+	}
+	sets := make([]SPathSet, len(g.ids))
+	g.spathsByPos(sets)
+	return sets
+}
