@@ -218,6 +218,12 @@ func DecodeFrozen(data []byte) (*Graph, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Node IDs are encoded ascending from 1 (DESIGN.md §10); reject
+		// anything else rather than build a graph posOf cannot search.
+		if NodeID(id) <= g.nextID {
+			return nil, errCodec
+		}
+		g.nextID = NodeID(id)
 		n := &backing[i]
 		n.ID = NodeID(id)
 		if n.Type, err = d.str(); err != nil {
@@ -265,13 +271,6 @@ func DecodeFrozen(data []byte) (*Graph, error) {
 		g.ids = append(g.ids, n.ID)
 		g.nodes = append(g.nodes, n)
 	}
-	// Node IDs are encoded in ascending order; reject out-of-order input
-	// rather than silently building an unsearchable graph.
-	for i := 1; i < len(g.ids); i++ {
-		if g.ids[i] <= g.ids[i-1] {
-			return nil, errCodec
-		}
-	}
 
 	nPl, err := d.uvarint()
 	if err != nil || nPl > uint64(len(d.data)) {
@@ -315,9 +314,15 @@ func DecodeFrozen(data []byte) (*Graph, error) {
 		}
 		g.outE = append(g.outE, edge{a: NodeID(src), sel: selTab.intern(sel), b: NodeID(dst)})
 	}
+	// g.nextID holds the largest node ID so far, which keeps posOf's
+	// window valid for the PL and NL checks above. An encoded nextID
+	// below it would let Clone + AddNode reuse an ID.
 	nextID, err := d.uvarint()
 	if err != nil {
 		return nil, err
+	}
+	if NodeID(nextID) < g.nextID {
+		return nil, errCodec
 	}
 	g.nextID = NodeID(nextID)
 

@@ -2,6 +2,7 @@ package rsg
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -186,6 +187,37 @@ func TestCodecRejectsCorruption(t *testing.T) {
 			// (the store checks the digest); a panic is not.
 			_, _ = DecodeFrozen(corrupt)
 		}()
+	}
+}
+
+// TestCodecRejectsBadNodeIDs: node IDs outside [1, nextID] keep the
+// digest (neither zero nor nextID is part of the canonical form), so the
+// store's content-address check cannot catch them. A nextID below the
+// largest node ID would make Clone + AddNode hand out a duplicate ID.
+func TestCodecRejectsBadNodeIDs(t *testing.T) {
+	g := NewGraph()
+	for i := 0; i < 3; i++ {
+		g.AddNode(NewNode("t"))
+	}
+	g.SetPvar("p", 3)
+	data := EncodeFrozen(g.Freeze())
+
+	lowNext := append([]byte(nil), data...)
+	lowNext[len(lowNext)-1] = 1 // nextID is the final uvarint: 3 -> 1
+	if _, err := DecodeFrozen(lowNext); !errors.Is(err, errCodec) {
+		t.Errorf("nextID 1 below node n3: err = %v, want errCodec", err)
+	}
+
+	// The body opens with the node count and the first node's ID, right
+	// after the string table's last entry ("p").
+	i := bytes.Index(data, []byte{'p', 3, 1})
+	if i < 0 {
+		t.Fatalf("node list not found in % x", data)
+	}
+	zeroID := append([]byte(nil), data...)
+	zeroID[i+2] = 0
+	if _, err := DecodeFrozen(zeroID); !errors.Is(err, errCodec) {
+		t.Errorf("node ID 0: err = %v, want errCodec", err)
 	}
 }
 
