@@ -3,6 +3,7 @@ package rsg
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -96,7 +97,7 @@ func appendSignature(g *Graph, buf []byte, cs *canonScratch) []byte {
 		buf = append(buf, 'N', ' ')
 		buf = strconv.AppendInt(buf, int64(ci), 10)
 		buf = append(buf, ' ')
-		buf = appendNodeDescriptor(buf, g.nodes[pos])
+		buf = append(buf, cs.descriptor(pos)...)
 		buf = append(buf, '\n')
 	}
 	// Emit edges grouped by canonical source index and selector; only
@@ -160,19 +161,25 @@ func appendNodeDescriptor(buf []byte, n *Node) []byte {
 
 // canonicalOrder fills cs.order with the node positions in BFS order
 // from the sorted pvars, with deterministic tie-breaking; unreachable
-// nodes follow in descriptor order. cs.spaths and cs.local are left
-// holding the per-position SPATH sets and tie-break descriptors.
+// nodes follow in descriptor order. cs.spaths and the descriptor arena
+// are left holding the per-position SPATH sets and tie-break keys.
 func canonicalOrder(g *Graph, cs *canonScratch) {
 	n := len(g.ids)
 	cs.spaths = growSPathSets(cs.spaths, n)
-	g.spathsByPos(cs.spaths)
-	cs.local = growStrings(cs.local, n)
+	cs.paths, cs.counts = g.spathsByPos(cs.spaths, cs.paths, cs.counts)
+	// One arena holds every node's tie-break key, its descriptor, '@'
+	// and its SPATH; keyOff and descEnd index it by position.
+	cs.arena = cs.arena[:0]
+	cs.keyOff = growInt32(cs.keyOff, n+1)
+	cs.descEnd = growInt32(cs.descEnd, n)
 	for i := range g.ids {
-		cs.buf = appendNodeDescriptor(cs.buf[:0], g.nodes[i])
-		cs.buf = append(cs.buf, '@')
-		cs.buf = cs.spaths[i].appendTo(cs.buf)
-		cs.local[i] = string(cs.buf)
+		cs.keyOff[i] = int32(len(cs.arena))
+		cs.arena = appendNodeDescriptor(cs.arena, g.nodes[i])
+		cs.descEnd[i] = int32(len(cs.arena))
+		cs.arena = append(cs.arena, '@')
+		cs.arena = cs.spaths[i].appendTo(cs.arena)
 	}
+	cs.keyOff[n] = int32(len(cs.arena))
 
 	cs.order = cs.order[:0]
 	cs.seen = growBool(cs.seen, n)
@@ -199,15 +206,14 @@ func canonicalOrder(g *Graph, cs *canonScratch) {
 			for ; i < len(run) && run[i].sel == sel; i++ {
 				cs.targets = append(cs.targets, g.posOf(run[i].b))
 			}
-			sort.Slice(cs.targets, func(i, j int) bool {
-				a, b := cs.targets[i], cs.targets[j]
+			slices.SortFunc(cs.targets, func(a, b int) int {
 				if cs.seen[a] != cs.seen[b] {
-					return cs.seen[a] // already-ordered nodes first, keeping BFS stable
+					if cs.seen[a] {
+						return -1 // already-ordered nodes first, keeping BFS stable
+					}
+					return 1
 				}
-				if cs.local[a] != cs.local[b] {
-					return cs.local[a] < cs.local[b]
-				}
-				return a < b
+				return cs.compareKeys(a, b)
 			})
 			for _, t := range cs.targets {
 				if !cs.seen[t] {
@@ -224,11 +230,5 @@ func canonicalOrder(g *Graph, cs *canonScratch) {
 			cs.order = append(cs.order, pos)
 		}
 	}
-	rest := cs.order[restStart:]
-	sort.Slice(rest, func(i, j int) bool {
-		if cs.local[rest[i]] != cs.local[rest[j]] {
-			return cs.local[rest[i]] < cs.local[rest[j]]
-		}
-		return rest[i] < rest[j]
-	})
+	slices.SortFunc(cs.order[restStart:], cs.compareKeys)
 }

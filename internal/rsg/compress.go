@@ -25,8 +25,7 @@ func compressOnce(g *Graph, lvl Level) int {
 	if n < 2 {
 		return 0
 	}
-	spaths := make([]SPathSet, n)
-	g.spathsByPos(spaths)
+	spaths := g.spathSets()
 	structure := g.StructureOf()
 
 	// Bucket by the equality-checked properties so the pairwise

@@ -27,42 +27,72 @@ func (g *Graph) SPathOf(id NodeID) SPathSet {
 	return s
 }
 
-// spathsByPos fills sets (parallel to g.ids, pre-zeroed) with the SPATH
-// of every node; the allocation-sensitive core shared by SPaths and the
-// canonical encoder.
-func (g *Graph) spathsByPos(sets []SPathSet) {
+// spathsByPos fills sets (parallel to g.ids) with the SPATH of every
+// node; the allocation-sensitive core shared by spathSets and the
+// canonical encoder. The sets are capped windows of one backing array,
+// grown from paths; counts is scratch for the per-node path counts.
+// Both are returned so pooled callers keep their capacity.
+//
+// Appending in (pl, out-run) order yields every set sorted by (Pvar,
+// Sel) without duplicates, so no set needs Add: pl is in pvar-name
+// order, a pvar's zero-length path is appended before its one-length
+// ones, an out-run is in selector-name order, and NL holds each
+// <src, sel, dst> once.
+func (g *Graph) spathsByPos(sets []SPathSet, paths []SPath, counts []int32) ([]SPath, []int32) {
+	clear(sets)
 	if len(g.pl) == 0 {
-		return
+		return paths, counts
+	}
+	counts = growInt32(counts, len(g.ids))
+	clear(counts)
+	total := 0
+	for _, e := range g.pl {
+		counts[g.posOf(e.id)]++
+		run := g.outRun(e.id)
+		for _, ed := range run {
+			counts[g.posOf(ed.b)]++
+		}
+		total += 1 + len(run)
+	}
+	if cap(paths) < total {
+		paths = make([]SPath, total)
+	}
+	paths = paths[:total]
+	off := 0
+	for i, c := range counts {
+		if c > 0 {
+			sets[i].paths = paths[off : off : off+int(c)]
+			off += int(c)
+		}
 	}
 	psnap := pvarTab.load()
 	var ssnap *symSnap
 	for _, e := range g.pl {
 		pname := psnap.names[e.sym-1]
-		sets[g.posOf(e.id)].Add(SPath{Pvar: pname})
+		p := g.posOf(e.id)
+		sets[p].paths = append(sets[p].paths, SPath{Pvar: pname})
 		run := g.outRun(e.id)
 		if len(run) > 0 && ssnap == nil {
 			ssnap = selTab.load()
 		}
 		for _, ed := range run {
-			sets[g.posOf(ed.b)].Add(SPath{Pvar: pname, Sel: ssnap.names[ed.sel-1]})
+			q := g.posOf(ed.b)
+			sets[q].paths = append(sets[q].paths, SPath{Pvar: pname, Sel: ssnap.names[ed.sel-1]})
 		}
 	}
+	return paths, counts
 }
 
-// SPaths computes SPATH for every node at once. On a frozen graph the
-// map is computed once at freeze time and shared; callers must not
-// modify it or the sets it holds.
-func (g *Graph) SPaths() map[NodeID]SPathSet {
+// spathSets returns the SPATH of every node, parallel to g.ids. A frozen
+// graph returns the sets computed once at freeze time; callers must not
+// modify them.
+func (g *Graph) spathSets() []SPathSet {
 	if g.frozen {
 		return g.cSPaths
 	}
 	sets := make([]SPathSet, len(g.ids))
-	g.spathsByPos(sets)
-	out := make(map[NodeID]SPathSet, len(g.ids))
-	for i, id := range g.ids {
-		out[id] = sets[i]
-	}
-	return out
+	g.spathsByPos(sets, nil, nil)
+	return sets
 }
 
 // StructureOf computes the STRUCTURE derived property for every node:

@@ -14,10 +14,9 @@ import (
 // them. The only way to derive a new graph from a frozen one is Clone,
 // which returns an unfrozen deep copy.
 
-// Freeze makes the graph immutable, builds the cached sorted views
-// (NodeIDs, Pvars, OutSelectors, Targets, AliasKey) and computes the
-// canonical digest. Freezing is idempotent; it returns the receiver for
-// chaining.
+// Freeze makes the graph immutable, computes the canonical digest and
+// pins the alias key and SPATH sets (see freezeWithDigest). Freezing is
+// idempotent; it returns the receiver for chaining.
 func (g *Graph) Freeze() *Graph {
 	if g.frozen {
 		return g
@@ -28,15 +27,14 @@ func (g *Graph) Freeze() *Graph {
 
 // freezeWithDigest freezes g reusing an already-computed digest (Intern
 // probes the digest before deciding whether the freeze is needed). The
-// flat encoding already *is* the sorted view, so freezing only pins the
-// few derived results that are expensive to recompute (alias key,
-// SPATHs, name-resolved links, pvar names). rec, when non-nil, also
-// attributes the freeze to one run's RunStats.
+// flat encoding already *is* the sorted view, so besides the digest,
+// freezing pins only what the RSRSG reduction reads per graph pair: the
+// alias key and the positional SPATH sets. Views only output code reads,
+// such as Links and Pvars, are computed on demand. rec, when non-nil,
+// also attributes the freeze to one run's RunStats.
 func (g *Graph) freezeWithDigest(d Digest, rec *RunStats) *Graph {
-	g.cPvars = g.Pvars()
 	g.cAlias = aliasKey(g)
-	g.cLinks = g.Links()
-	g.cSPaths = g.SPaths()
+	g.cSPaths = g.spathSets()
 	g.frozen = true
 	g.digest = d
 	cacheStats.graphsFrozen.Add(1)

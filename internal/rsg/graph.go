@@ -51,7 +51,7 @@ type plEntry struct {
 // searches, iteration is linear and allocation-free, and Clone is a
 // handful of slice copies.
 type Graph struct {
-	ids    []NodeID  // sorted ascending
+	ids    []NodeID  // distinct, ascending, in [1, nextID] (see posOf)
 	nodes  []*Node   // parallel to ids
 	pl     []plEntry // sorted by pvar name rank
 	outE   []edge    // sorted by (src, rank(sel), dst)
@@ -59,15 +59,13 @@ type Graph struct {
 	nextID NodeID
 
 	// Freeze contract (see freeze.go): once frozen, every mutating
-	// method panics, the derived views below are served from the caches
-	// built at freeze time, and the canonical digest is memoized.
+	// method panics, the alias key and SPATH sets are served from the
+	// caches built at freeze time, and the canonical digest is memoized.
 	// Callers must treat slices returned by a frozen graph as read-only.
 	frozen  bool
 	digest  Digest
-	cPvars  []string
 	cAlias  string
-	cLinks  []Link
-	cSPaths map[NodeID]SPathSet
+	cSPaths []SPathSet // parallel to ids
 }
 
 // NewGraph returns an empty RSG (no nodes; every pvar NULL).
@@ -97,8 +95,15 @@ func (g *Graph) Clone() *Graph {
 }
 
 // posOf returns the slice position of a node ID, or -1.
+//
+// IDs are distinct, ascending, at least 1 and at most nextID; AddNode,
+// Clone and DecodeFrozen keep that invariant. So at most id-1 IDs
+// precede id, and at most h = nextID - len(ids) values below id are
+// missing: id's position lies in [id-1-h, min(id, len(ids))). Only that
+// window is searched, which is one probe on a graph without holes.
 func (g *Graph) posOf(id NodeID) int {
-	lo, hi := 0, len(g.ids)
+	hi := min(int(id), len(g.ids))
+	lo := max(0, int(id)-1-(int(g.nextID)-len(g.ids)))
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if g.ids[mid] < id {
@@ -215,12 +220,9 @@ func (g *Graph) PvarTargetSym(sym Sym) *Node {
 	return nil
 }
 
-// Pvars returns the pvars with a non-NULL reference, sorted. On a
-// frozen graph the cached slice is returned; callers must not modify it.
+// Pvars returns the pvars with a non-NULL reference, sorted, in a fresh
+// slice. No fixpoint path reads it, so freezing does not pin it.
 func (g *Graph) Pvars() []string {
-	if g.frozen {
-		return g.cPvars
-	}
 	if len(g.pl) == 0 {
 		return nil
 	}
@@ -499,12 +501,9 @@ func (g *Graph) OutLinks(src NodeID) []Link {
 	return out
 }
 
-// Links returns every NL entry, sorted by (Src, Sel, Dst). On a frozen
-// graph the cached slice is returned; callers must not modify it.
+// Links returns every NL entry, sorted by (Src, Sel, Dst), in a fresh
+// slice. No fixpoint path reads it, so freezing does not pin it.
 func (g *Graph) Links() []Link {
-	if g.frozen {
-		return g.cLinks
-	}
 	if len(g.outE) == 0 {
 		return nil
 	}

@@ -176,11 +176,11 @@ func TestSPathOf(t *testing.T) {
 	if !sp3.Has(SPath{Pvar: "last"}) || !sp3.Has(SPath{Pvar: "x", Sel: "nxt"}) {
 		t.Errorf("n3 SPATH = %s", sp3)
 	}
-	// SPaths (bulk) must agree with SPathOf.
-	all := g.SPaths()
-	for _, id := range g.NodeIDs() {
-		if !all[id].Equal(g.SPathOf(id)) {
-			t.Errorf("SPaths[%d] disagrees with SPathOf", id)
+	// The bulk sets must agree with SPathOf.
+	all := g.spathSets()
+	for pos, id := range g.NodeIDs() {
+		if !all[pos].Equal(g.SPathOf(id)) {
+			t.Errorf("spathSets[%d] disagrees with SPathOf(n%d)", pos, id)
 		}
 	}
 }
@@ -236,7 +236,7 @@ func TestPositionalSPathsMatchSPathOf(t *testing.T) {
 				forms = append(forms, g.Clone().Freeze())
 			}
 			for _, f := range forms {
-				sets := positionalSPaths(f)
+				sets := f.spathSets()
 				if len(sets) != f.NumNodes() {
 					t.Fatalf("seed %d graph %d: %d SPATH sets for %d nodes", seed, gi, len(sets), f.NumNodes())
 				}
@@ -254,19 +254,4 @@ func TestPositionalSPathsMatchSPathOf(t *testing.T) {
 			}
 		}
 	}
-}
-
-// positionalSPaths returns g's SPATH sets parallel to its node positions.
-func positionalSPaths(g *Graph) []SPathSet {
-	if g.Frozen() {
-		m := g.SPaths()
-		out := make([]SPathSet, len(g.ids))
-		for i, id := range g.ids {
-			out[i] = m[id]
-		}
-		return out
-	}
-	sets := make([]SPathSet, len(g.ids))
-	g.spathsByPos(sets)
-	return sets
 }

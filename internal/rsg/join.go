@@ -42,20 +42,22 @@ func Compatible(lvl Level, g1, g2 *Graph) bool {
 	if AliasKey(g1) != AliasKey(g2) {
 		return false
 	}
-	return CompatibleSP(lvl, g1, g2, g1.SPaths(), g2.SPaths())
+	return CompatibleSP(lvl, g1, g2)
 }
 
 // CompatibleSP is Compatible with the alias keys already known equal
-// and the SPATH maps precomputed by the caller (the RSRSG reduction
-// caches them per graph).
-func CompatibleSP(lvl Level, g1, g2 *Graph, sp1, sp2 map[NodeID]SPathSet) bool {
+// (the RSRSG reduction buckets graphs by alias key). It reads each
+// graph's positional SPATH sets, which a frozen graph pinned at freeze
+// time and a mutable one computes per call.
+func CompatibleSP(lvl Level, g1, g2 *Graph) bool {
+	sp1, sp2 := g1.spathSets(), g2.spathSets()
 	for _, e := range g1.pl {
-		n1 := g1.Node(e.id)
-		n2 := g2.PvarTargetSym(e.sym)
-		if n2 == nil {
+		i2 := g2.plIndex(e.sym)
+		if i2 < 0 {
 			return false // alias keys equal => cannot happen, defensive
 		}
-		if !CNodesJoin(lvl, n1, n2, sp1[n1.ID], sp2[n2.ID]) {
+		p1, p2 := g1.posOf(e.id), g2.posOf(g2.pl[i2].id)
+		if !CNodesJoin(lvl, g1.nodes[p1], g2.nodes[p2], sp1[p1], sp2[p2]) {
 			return false
 		}
 	}
@@ -74,7 +76,7 @@ func CompatibleSP(lvl Level, g1, g2 *Graph, sp1, sp2 map[NodeID]SPathSet) bool {
 // so each pvar keeps a single target), then remaining nodes greedily in
 // ID order.
 func Join(lvl Level, g1, g2 *Graph) *Graph {
-	sp1, sp2 := g1.SPaths(), g2.SPaths()
+	sp1, sp2 := g1.spathSets(), g2.spathSets()
 	n1len, n2len := len(g1.ids), len(g2.ids)
 
 	match := make([]int, n1len) // g1 pos -> g2 pos, -1 unmatched
@@ -108,8 +110,7 @@ func Join(lvl Level, g1, g2 *Graph) *Graph {
 			if taken[p2] {
 				continue
 			}
-			node2 := g2.nodes[p2]
-			if CNodes(lvl, node1, node2, sp1[node1.ID], sp2[node2.ID]) {
+			if CNodes(lvl, node1, g2.nodes[p2], sp1[p1], sp2[p2]) {
 				match[p1] = p2
 				taken[p2] = true
 				break
@@ -117,7 +118,15 @@ func Join(lvl Level, g1, g2 *Graph) *Graph {
 		}
 	}
 
-	out := NewGraph()
+	// Presized for every node and link of both operands, so AddNode and
+	// AddLinkSym never grow a slice.
+	nl := len(g1.outE) + len(g2.outE)
+	out := &Graph{
+		ids:   make([]NodeID, 0, n1len+n2len),
+		nodes: make([]*Node, 0, n1len+n2len),
+		outE:  make([]edge, 0, nl),
+		inE:   make([]edge, 0, nl),
+	}
 	map1 := make([]NodeID, n1len) // g1 pos -> out ID
 	map2 := make([]NodeID, n2len) // g2 pos -> out ID
 
@@ -142,10 +151,10 @@ func Join(lvl Level, g1, g2 *Graph) *Graph {
 	}
 
 	for _, e := range g1.pl {
-		out.SetPvar(pvarTab.name(e.sym), map1[g1.posOf(e.id)])
+		out.SetPvarSym(e.sym, map1[g1.posOf(e.id)])
 	}
 	for _, e := range g2.pl {
-		out.SetPvar(pvarTab.name(e.sym), map2[g2.posOf(e.id)])
+		out.SetPvarSym(e.sym, map2[g2.posOf(e.id)])
 	}
 	for _, e := range g1.outE {
 		out.AddLinkSym(map1[g1.posOf(e.a)], e.sel, map1[g1.posOf(e.b)])

@@ -1,6 +1,9 @@
 package rsg
 
-import "sync"
+import (
+	"bytes"
+	"sync"
+)
 
 // canonScratch is the reusable working state of one signature/digest
 // computation (DESIGN.md §10). Everything in it is position-indexed
@@ -14,15 +17,40 @@ import "sync"
 // the pool does not pin dead graphs.
 type canonScratch struct {
 	spaths  []SPathSet
-	local   []string
+	paths   []SPath // backing array of spaths
+	counts  []int32 // per-node path counts while spaths is built
+	arena   []byte  // every node's tie-break key, back to back
+	keyOff  []int32 // key of position i is arena[keyOff[i]:keyOff[i+1]]
+	descEnd []int32 // its node descriptor ends at arena[descEnd[i]]
 	idx     []int32
 	seen    []bool
 	order   []int // canonical order, as positions into Graph.ids
 	queue   []int
 	targets []int
 	dsts    []int
-	buf     []byte // descriptor scratch
 	sig     []byte // signature accumulation buffer
+}
+
+// key returns the tie-break key of a node position: its descriptor, '@'
+// and its SPATH.
+func (cs *canonScratch) key(pos int) []byte {
+	return cs.arena[cs.keyOff[pos]:cs.keyOff[pos+1]]
+}
+
+// compareKeys orders two node positions by tie-break key, then by
+// position: a strict total order, so any sorting algorithm yields the
+// same canonical order.
+func (cs *canonScratch) compareKeys(a, b int) int {
+	if c := bytes.Compare(cs.key(a), cs.key(b)); c != 0 {
+		return c
+	}
+	return a - b
+}
+
+// descriptor returns the node descriptor of a position, the prefix of
+// its key.
+func (cs *canonScratch) descriptor(pos int) []byte {
+	return cs.arena[cs.keyOff[pos]:cs.descEnd[pos]]
 }
 
 var canonPool = sync.Pool{New: func() any {
@@ -37,21 +65,20 @@ func getCanonScratch() *canonScratch {
 
 func putCanonScratch(cs *canonScratch) {
 	// Drop references into the graph we just encoded; keep capacities.
-	for i := range cs.spaths {
-		cs.spaths[i] = SPathSet{}
-	}
-	for i := range cs.local {
-		cs.local[i] = ""
-	}
+	clear(cs.spaths)
+	clear(cs.paths)
 	cs.spaths = cs.spaths[:0]
-	cs.local = cs.local[:0]
+	cs.paths = cs.paths[:0]
+	cs.counts = cs.counts[:0]
+	cs.arena = cs.arena[:0]
+	cs.keyOff = cs.keyOff[:0]
+	cs.descEnd = cs.descEnd[:0]
 	cs.idx = cs.idx[:0]
 	cs.seen = cs.seen[:0]
 	cs.order = cs.order[:0]
 	cs.queue = cs.queue[:0]
 	cs.targets = cs.targets[:0]
 	cs.dsts = cs.dsts[:0]
-	cs.buf = cs.buf[:0]
 	cs.sig = cs.sig[:0]
 	canonPool.Put(cs)
 }
@@ -103,20 +130,9 @@ func growBool(s []bool, n int) []bool {
 	return s
 }
 
-func growStrings(s []string, n int) []string {
-	if cap(s) < n {
-		return make([]string, n)
-	}
-	return s[:n]
-}
-
 func growSPathSets(s []SPathSet, n int) []SPathSet {
 	if cap(s) < n {
-		s = make([]SPathSet, n)
+		return make([]SPathSet, n)
 	}
-	s = s[:n]
-	for i := range s {
-		s[i] = SPathSet{}
-	}
-	return s
+	return s[:n]
 }

@@ -102,7 +102,7 @@ func TestFrozenGraphSharedReads(t *testing.T) {
 				_ = g.Digest()
 				_ = g.NodeIDs()
 				_ = g.Pvars()
-				_ = g.SPaths()
+				_ = g.spathSets()
 				_ = g.Links()
 				_ = AliasKey(g)
 				for _, id := range g.NodeIDs() {

@@ -74,7 +74,7 @@ func NewJoinCache() *JoinCache {
 }
 
 // compatible is CompatibleSP through the cache; a nil receiver
-// recomputes. Frozen graphs serve their SPATH maps from the freeze-time
+// recomputes. Frozen graphs serve their SPATH sets from the freeze-time
 // cache, so no per-scan SPATH memo is needed.
 func (c *JoinCache) compatible(lvl rsg.Level, a, b entry) bool {
 	k := joinKey{lvl: lvl, a: a.dig, b: b.dig}
@@ -86,7 +86,7 @@ func (c *JoinCache) compatible(lvl rsg.Level, a, b entry) bool {
 			return v
 		}
 	}
-	v := rsg.CompatibleSP(lvl, a.g, b.g, a.g.SPaths(), b.g.SPaths())
+	v := rsg.CompatibleSP(lvl, a.g, b.g)
 	if c != nil {
 		c.mu.Lock()
 		if len(c.compat) >= joinCacheCap {
