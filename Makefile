@@ -33,11 +33,11 @@ test-race:
 	$(GO) test -race -short ./internal/rsg/ ./internal/rsrsg/ ./internal/analysis/ ./internal/store/ ./internal/service/
 
 # One iteration over the benchmark surfaces a change is most likely to
-# rot: the digest-core micro-benches, the Figure-1 pipeline and the
-# Barnes-Hut L1 macro cell, plus a short run of the determinism suite
-# (every worker count must stay bit-identical).
+# rot: the digest, clone, freeze, join and compress micro-benches, the
+# Figure-1 pipeline and the Barnes-Hut L1 macro cell, plus a short run
+# of the determinism suite (every worker count must stay bit-identical).
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkSignature|BenchmarkDigest' -benchtime=1x ./internal/rsg/
+	$(GO) test -run xxx -bench 'BenchmarkSignature|BenchmarkDigest|BenchmarkClone|BenchmarkFreeze|BenchmarkJoin|BenchmarkCompressChain' -benchtime=1x ./internal/rsg/
 	$(GO) test -run xxx -bench 'BenchmarkFigure1Pipeline|BenchmarkParallelBarnesHutL1_Workers1$$' -benchtime=1x .
 	$(GO) test -run TestParallelDeterminism -short -count=1 ./internal/analysis/
 

@@ -42,6 +42,17 @@ func BenchmarkClone(b *testing.B) {
 	}
 }
 
+// BenchmarkFreeze measures Clone + Freeze, which every graph that
+// becomes a canonical instance pays once: the digest, the alias key and
+// the positional SPATH sets.
+func BenchmarkFreeze(b *testing.B) {
+	g, _, _, _ := dlist(true)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = g.Clone().Freeze()
+	}
+}
+
 func BenchmarkCompressChain(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

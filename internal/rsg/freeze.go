@@ -7,7 +7,7 @@ import (
 
 // This file implements the freeze contract: a Graph can be frozen into
 // an immutable handle, after which every mutating method panics, the
-// sorted adjacency/pvar views are served from caches built once, and the
+// alias key and SPATH sets are served from caches built once, and the
 // canonical binary digest is memoized. Frozen graphs are safely
 // shareable — between RSRSGs, across cache layers, and (in a future
 // sharded engine) across goroutines, because no code path may write to

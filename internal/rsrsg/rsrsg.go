@@ -392,7 +392,7 @@ func (s *Set) Reduce(lvl rsg.Level, opts Options) int {
 }
 
 // reduceGroup joins compatible graphs within one alias bucket until a
-// fixed point. Member graphs are frozen, so SPATH maps come from the
+// fixed point. Member graphs are frozen, so SPATH sets come from the
 // freeze-time cache. jc, when non-nil, memoizes the pairwise
 // compatibility verdicts and join results across calls (the Accum's
 // dirty-bucket replays); nil recomputes everything.
