@@ -51,8 +51,8 @@ bench-compare:
 		-reps 1 -workers 1 -compare BENCH_PR9.json
 
 # Scheduler smoke gate (DESIGN.md §14): the Figure 1 list, matvec and
-# Barnes-Hut must converge at L1 within absolute visit ceilings, and
-# none of them may trip loop-head widening.
+# Barnes-Hut must converge at L1 within absolute ceilings on visits and
+# on component stabilization rounds.
 bench-sched:
 	$(GO) test -run TestSchedSmoke -count=1 ./internal/analysis/
 

@@ -21,9 +21,8 @@
 //	-stats          print cache counters (delta transfers, dirty
 //	                buckets, graphs frozen, digest cache hits, interning)
 //	                plus scheduling counters (requeues, component
-//	                stabilizations, widenings) and the visits-per-
-//	                statement histogram; with -progressive, one block
-//	                per level
+//	                stabilizations) and the visits-per-statement
+//	                histogram; with -progressive, one block per level
 //	-workers N      goroutines for per-graph transfers and bucket
 //	                reductions (0 = GOMAXPROCS, 1 = sequential; results
 //	                are identical at any value)

@@ -47,7 +47,7 @@ func buildList(t *testing.T, c *Context) *rsrsg.Set {
 	// Fixed point over "zero or more iterations".
 	cur := s
 	for i := 0; i < 50; i++ {
-		next := rsrsg.Union(c.Level, cur, body(cur), c.Opts)
+		next := rsrsg.UnionAll(c.Level, []*rsrsg.Set{cur, body(cur)}, c.Opts)
 		if next.Equal(cur) {
 			return cur
 		}

@@ -78,7 +78,7 @@ func TestSetMembersAlwaysFrozen(t *testing.T) {
 	s := empty()
 	s = XMalloc(c, s, "x", "t")
 	s = XSelNil(c, s, "x", "nxt")
-	u := rsrsg.Union(rsg.L1, s, empty(), c.Opts)
+	u := rsrsg.UnionAll(rsg.L1, []*rsrsg.Set{s, empty()}, c.Opts)
 	for _, g := range u.Graphs() {
 		if !g.Frozen() {
 			t.Fatal("union output member not frozen")

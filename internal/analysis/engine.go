@@ -65,11 +65,6 @@ type Options struct {
 	forceEditDelta bool
 }
 
-// maxGraphsPerStmt bounds the RSGs kept per statement: past it, graphs
-// with equal alias relations are force-joined (rsrsg.Options.MaxGraphs).
-// Covered by the options fingerprint like widenHeadAfter.
-const maxGraphsPerStmt = 64
-
 // ErrBudgetExceeded reports that the abstraction outgrew NodeBudget.
 var ErrBudgetExceeded = errors.New("analysis: node budget exceeded (out of memory)")
 
@@ -125,9 +120,8 @@ type Stats struct {
 	// each round visits the component head (if pending) and sweeps the
 	// body once. 0 on loop-free programs.
 	ComponentStabilizations int
-	// Widenings counts visits whose transfer was widened (out-state
-	// unioned with its previous value): component-head visits past
-	// widenHeadAfter stabilization rounds.
+	// Widenings is always 0: the engine has no widening. The field stays
+	// only because the repository benchmark (perfbench) still reads it.
 	Widenings int
 	// VisitCounts is the per-statement transfer count, indexed by
 	// statement ID (VisitHistogram renders its distribution).
@@ -201,8 +195,8 @@ func (s *Stats) CacheSummary() string {
 
 // SchedSummary renders the scheduling counters in one line.
 func (s *Stats) SchedSummary() string {
-	return fmt.Sprintf("sched(visits=%d requeues=%d comp-stabs=%d widenings=%d)",
-		s.Visits, s.Requeues, s.ComponentStabilizations, s.Widenings)
+	return fmt.Sprintf("sched(visits=%d requeues=%d comp-stabs=%d)",
+		s.Visits, s.Requeues, s.ComponentStabilizations)
 }
 
 // VisitHistogram renders the visits-per-statement distribution in
@@ -389,7 +383,7 @@ func Run(prog *ir.Program, opts Options) (*Result, error) {
 		// forward cone re-enter the worklist. Their non-cone
 		// predecessors' out-states were restored above, so the first
 		// visit of each seeded statement admits the converged in-flow
-		// directly via MergeDelta instead of recomputing it.
+		// directly via MergeDeltaBatch instead of recomputing it.
 		for _, id := range plan.seed {
 			push(id)
 		}
@@ -439,9 +433,11 @@ func Run(prog *ir.Program, opts Options) (*Result, error) {
 		// per-round fixed costs (bucket snapshots, task dispatch,
 		// delta netting) amortize across a statement's whole pending
 		// delta. The accumulation makes the dataflow monotone
-		// regardless of transfer non-monotonicities, guaranteeing the
-		// fixed point terminates. The net membership delta across all
-		// predecessor merges feeds the semi-naïve transfer below.
+		// regardless of transfer non-monotonicities: after its first
+		// visit a statement transfers only when its in-state absorbs a
+		// digest it has never absorbed, and MaxVisits ends any run that
+		// outlasts that (DESIGN.md §14). The net membership delta across
+		// all predecessor merges feeds the semi-naïve transfer below.
 		in := inState[id]
 		if in == nil {
 			in = rsrsg.New()
@@ -472,25 +468,11 @@ func Run(prog *ir.Program, opts Options) (*Result, error) {
 		}
 
 		// Standard dataflow: out = F(in), computed semi-naïvely from the
-		// in-state delta. If a component is re-stabilized pathologically
-		// often (transfer non-monotonicity making the out-state
-		// oscillate), its head's out-states accumulate instead — a
-		// widening that forces monotone growth and hence stabilization.
-		// Heads widen past widenHeadAfter stabilization rounds; body
-		// statements cannot out-oscillate a stabilized head, since each
-		// round re-fires them at most once. The widening union is applied
-		// after F(in), so the delta caches keep tracking F(in) alone.
+		// in-state delta.
 		visits[id]++
-		widen := sched.widen[id]
-		if widen {
-			res.Stats.Widenings++
-		}
 		out, err := eng.transferDelta(ctx, stmt, in, delta)
 		if err != nil {
 			return wrapTimeout(err, start, res.Stats.Visits)
-		}
-		if widen {
-			out = rsrsg.Union(opts.Level, res.Out[id], out, reduceOpts)
 		}
 		if old := res.Out[id]; old == nil || !out.Equal(old) {
 			if old != nil {

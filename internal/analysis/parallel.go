@@ -23,7 +23,7 @@ import (
 //   1. per-graph abstract transfers: the new graphs of a statement's
 //      in-state delta are independent frozen inputs, so their steps
 //      are dispatched as parallel jobs;
-//   2. per-alias-bucket reductions inside rsrsg (Reduce/MergeDelta/
+//   2. per-alias-bucket reductions inside rsrsg (Reduce/MergeDeltaBatch/
 //      Accum), reached through the rsrsg.Options.Exec hook.
 //
 // Determinism is by construction, not by luck: every parallel unit
@@ -133,7 +133,6 @@ func newEngineRun(opts Options, start time.Time) *engineRun {
 	}
 	e.reduceOpts = rsrsg.Options{
 		DisableJoin: opts.DisableJoin,
-		MaxGraphs:   maxGraphsPerStmt,
 		Joins:       rsrsg.NewJoinCache(),
 		Stats:       e.rec,
 	}

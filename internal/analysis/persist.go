@@ -43,9 +43,10 @@ import (
 // the WTO scheduler landed (DESIGN.md §14) — widening points moved.
 // Schema 3: WTO became the only scheduler, and the scheduler and the
 // RPO widening cap left the fingerprint. Schema 4: the legacy soundness
-// replay left the options, and the per-statement graph bound became
-// the constant maxGraphsPerStmt.
-const persistSchema = 4
+// replay left the options, and the per-statement graph bound became a
+// constant. Schema 5: the graph bound and loop-head widening were
+// deleted, and both constants left the fingerprint.
+const persistSchema = 5
 
 type persistMode int
 
@@ -76,11 +77,10 @@ type persistPlan struct {
 }
 
 // optionsFingerprint hashes every option that changes analysis
-// *results* — level and the reduction knobs — plus the engine constants
-// that do: the per-statement graph bound and the widening threshold. Budgets (MaxVisits, NodeBudget, Timeout) are deliberately
-// excluded and handled by the snapshot eligibility rules; Workers is
-// excluded because any setting produces bit-identical digests
-// (DESIGN.md §7).
+// *results*: level and the reduction knobs. Budgets (MaxVisits,
+// NodeBudget, Timeout) are deliberately excluded and handled by the
+// snapshot eligibility rules; Workers is excluded because any setting
+// produces bit-identical digests (DESIGN.md §7).
 func optionsFingerprint(opts Options) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -101,11 +101,6 @@ func optionsFingerprint(opts Options) uint64 {
 	putBool(opts.DisableCyclePrune)
 	putBool(opts.NoCompress)
 	putBool(opts.TouchAllPvars)
-	// Both constants are result-affecting: the graph bound decides when
-	// compatible graphs are force-joined, the widening threshold which
-	// loop heads accumulate their out-states.
-	put(maxGraphsPerStmt)
-	put(widenHeadAfter)
 	return h.Sum64()
 }
 

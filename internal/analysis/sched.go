@@ -27,12 +27,7 @@ type wtoSched struct {
 	pendingTotal int
 	visited      int
 	pendingIn    []int
-	// rounds[c] counts component c's stabilization rounds cumulatively
-	// across re-entries; past widenHeadAfter the head's transfers widen
-	// (loop-head widening — straight-line statements never widen).
-	rounds []int
-	widen  []bool // indexed by statement ID; only heads are ever set
-	stabs  int
+	stabs        int
 }
 
 func newWTOSched(prog *ir.Program) *wtoSched {
@@ -41,8 +36,6 @@ func newWTOSched(prog *ir.Program) *wtoSched {
 		w:         w,
 		pending:   make([]bool, len(prog.Stmts)),
 		pendingIn: make([]int, len(w.Comps)),
-		rounds:    make([]int, len(w.Comps)),
-		widen:     make([]bool, len(prog.Stmts)),
 	}
 }
 
@@ -123,10 +116,6 @@ func (s *wtoSched) stabilize(c int, visit func(int) error) error {
 	start, end := s.w.Comps[c].Start, s.w.Comps[c].End
 	for s.pendingIn[c] > 0 {
 		s.stabs++
-		s.rounds[c]++
-		if s.rounds[c] > widenHeadAfter {
-			s.widen[head] = true
-		}
 		if s.pending[head] {
 			s.clear(head)
 			if err := visit(head); err != nil {
@@ -139,11 +128,3 @@ func (s *wtoSched) stabilize(c int, visit func(int) error) error {
 	}
 	return nil
 }
-
-// widenHeadAfter is the cumulative stabilization-round count past
-// which a component head's transfers widen. A round re-fires the head
-// at most once, so this bounds head visits directly, and non-head
-// statements rely on the heads of their enclosing components for
-// termination. Covered by the options fingerprint: changing it changes
-// results and must orphan snapshots.
-const widenHeadAfter = 256

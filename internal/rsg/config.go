@@ -49,7 +49,10 @@ func (l Level) UseTouch() bool { return l >= L3 }
 // the derived SPATH sets of two nodes.
 //
 // m = 0 (C_SPATH0): the nodes must have the same zero-length simple
-// paths — i.e. be referenced directly by the same pvars.
+// paths — i.e. be referenced directly by the same pvars. This check is
+// what keeps JOIN+COMPRESS inside an alias bucket (the join of two
+// compatible graphs has their alias key), which the RSRSG merge layer
+// relies on; TestPropertyJoinKeepsAliasKey pins it.
 //
 // m = 1 (C_SPATH1): additionally the one-length path sets must be
 // compatible: either both nodes have no one-length simple path, or the

@@ -168,3 +168,47 @@ func TestPropertyDivideBranchesAreSubgraphs(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPropertyJoinKeepsAliasKey pins the invariant the RSRSG merge
+// layer rests on: joining two compatible graphs of one alias bucket
+// and compressing the result never leaves the bucket. rsrsg merges a
+// bucket's delta without re-keying join results, so a join that changed
+// the alias key would file a graph under the wrong bucket. The
+// invariant lives in CSPath: C_SPATH0 only matches nodes with equal
+// zero-length paths, so JOIN merges exactly the nodes the same pvars
+// reference, and COMPRESS never merges pvar-referenced nodes.
+func TestPropertyJoinKeepsAliasKey(t *testing.T) {
+	pairs := 0
+	for seed := int64(0); seed < 400; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		graphs := make([]*Graph, 8)
+		for i := range graphs {
+			if i%2 == 0 {
+				graphs[i] = randomGraph(r)
+			} else {
+				graphs[i] = buildRandomGraph(r)
+			}
+		}
+		for _, lvl := range []Level{L1, L2, L3} {
+			// Both operand orders: Join's node matching is not symmetric.
+			for i, a := range graphs {
+				for k, b := range graphs {
+					key := AliasKey(a)
+					if k == i || AliasKey(b) != key || !CompatibleSP(lvl, a, b) {
+						continue
+					}
+					pairs++
+					j := Join(lvl, a, b)
+					Compress(j, lvl)
+					if got := AliasKey(j); got != key {
+						t.Fatalf("seed %d %s: join of compatible graphs moved alias key %q to %q", seed, lvl, key, got)
+					}
+				}
+			}
+		}
+	}
+	if pairs < 1500 {
+		t.Fatalf("only %d compatible pairs: the generators no longer exercise the property", pairs)
+	}
+	t.Logf("%d compatible pairs", pairs)
+}

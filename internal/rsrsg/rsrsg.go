@@ -135,17 +135,18 @@ type Set struct {
 	// byDig indexes the members; nil on a fresh Clone and rebuilt on
 	// first mutation, so read-only copies never pay for the map.
 	byDig map[rsg.Digest]struct{}
-	// absorbed records every digest ever folded in through MergeDelta,
-	// including graphs that were joined away; it prevents re-absorbing
-	// (and re-joining) recurring contributions during the fixed point.
-	// Lazily initialized by MergeDelta.
+	// absorbed records every digest ever folded in through
+	// MergeDeltaBatch, including graphs that were joined away; it
+	// prevents re-absorbing (and re-joining) recurring contributions
+	// during the fixed point. Lazily initialized by MergeDeltaBatch.
 	absorbed map[rsg.Digest]struct{}
 	// absorbedContribs records whole contribution sets already folded in
-	// through MergeDelta, keyed by the same (length, set digest) pair
-	// Equal compares. A statement is revisited whenever any predecessor
-	// changes, so the out-states of its unchanged predecessors are
-	// re-merged verbatim on every visit; this lets MergeDelta dismiss
-	// such repeats in O(1) instead of re-scanning every member.
+	// through MergeDeltaBatch, keyed by the same (length, set digest)
+	// pair Equal compares. A statement is revisited whenever any
+	// predecessor changes, so the out-states of its unchanged
+	// predecessors are re-merged verbatim on every visit; this lets
+	// MergeDeltaBatch dismiss such repeats in O(1) instead of
+	// re-scanning every member.
 	absorbedContribs map[contribKey]struct{}
 	// setDig is the XOR of the member digests: order-independent,
 	// updated in O(1) per insertion/removal. Two sets with equal length
@@ -188,11 +189,8 @@ type Options struct {
 	// DisableJoin keeps every distinct RSG instead of joining compatible
 	// ones; used by the ablation benchmarks.
 	DisableJoin bool
-	// MaxGraphs, when positive, force-joins graphs with equal alias
-	// relations once the set exceeds the bound (a widening safeguard).
-	MaxGraphs int
 	// Exec, when non-nil, runs the per-alias-bucket reduction tasks of
-	// Reduce and MergeDelta concurrently. Buckets are independent —
+	// Reduce and MergeDeltaBatch concurrently. Buckets are independent —
 	// compatibility requires equal alias keys, digest-equal graphs have
 	// equal alias keys, and JOIN/COMPRESS preserve the alias relation
 	// (C_SPATH demands equal zero-length paths, so nodes referenced by
@@ -201,7 +199,7 @@ type Options struct {
 	// sequential run.
 	Exec Exec
 	// Joins, when non-nil, memoizes pairwise CompatibleSP verdicts and
-	// JOIN+COMPRESS results across Reduce/MergeDelta/Accum calls (see
+	// JOIN+COMPRESS results across Reduce/MergeDeltaBatch/Accum calls (see
 	// JoinCache). Both primitives are pure functions of their frozen
 	// operands, so supplying a cache never changes results. The
 	// semi-naïve engine shares one cache per run.
@@ -362,17 +360,7 @@ func (s *Set) Reduce(lvl rsg.Level, opts Options) int {
 		i, group := i, group
 		tasks = append(tasks, func() {
 			sort.Slice(group, func(a, b int) bool { return group[a].dig.Less(group[b].dig) })
-			group, j := reduceGroup(lvl, group, false, opts.Joins, opts.Stats)
-			if opts.MaxGraphs > 0 && len(group) > opts.MaxGraphs {
-				// Widening: force-join within the alias bucket, ignoring
-				// the node compatibility conditions (JOIN still
-				// over-approximates both operands, so this is sound —
-				// just lossier).
-				var fj int
-				group, fj = forceGroup(lvl, group, opts.MaxGraphs, opts.Joins, opts.Stats)
-				j += fj
-			}
-			results[i], bucketJoins[i] = group, j
+			results[i], bucketJoins[i] = reduceGroup(lvl, group, opts.Joins, opts.Stats)
 		})
 	}
 	opts.run(tasks)
@@ -396,14 +384,14 @@ func (s *Set) Reduce(lvl rsg.Level, opts Options) int {
 // freeze-time cache. jc, when non-nil, memoizes the pairwise
 // compatibility verdicts and join results across calls (the Accum's
 // dirty-bucket replays); nil recomputes everything.
-func reduceGroup(lvl rsg.Level, group []entry, force bool, jc *JoinCache, rec *rsg.RunStats) ([]entry, int) {
+func reduceGroup(lvl rsg.Level, group []entry, jc *JoinCache, rec *rsg.RunStats) ([]entry, int) {
 	joins := 0
 	for {
 		joined := false
 	scan:
 		for i := 0; i < len(group); i++ {
 			for j := i + 1; j < len(group); j++ {
-				if !force && !jc.compatible(lvl, group[i], group[j]) {
+				if !jc.compatible(lvl, group[i], group[j]) {
 					continue
 				}
 				e := jc.join(lvl, group[i], group[j], rec)
@@ -425,18 +413,6 @@ func reduceGroup(lvl rsg.Level, group []entry, force bool, jc *JoinCache, rec *r
 	}
 }
 
-// forceGroup widens a bucket down to the bound.
-func forceGroup(lvl rsg.Level, group []entry, max int, jc *JoinCache, rec *rsg.RunStats) ([]entry, int) {
-	joins := 0
-	for len(group) > max {
-		e := jc.join(lvl, group[0], group[1], rec)
-		group = append(group[2:], e)
-		group = dedupe(group)
-		joins++
-	}
-	return group, joins
-}
-
 func dedupe(group []entry) []entry {
 	seen := make(map[rsg.Digest]struct{}, len(group))
 	out := group[:0]
@@ -450,106 +426,35 @@ func dedupe(group []entry) []entry {
 	return out
 }
 
-// Delta is the net membership change reported by one MergeDelta call:
-// Added holds the graphs that are members now but were not before the
-// call, Removed the digests of former members that were joined away,
-// and Keys the alias-bucket keys whose membership changed (sorted). Changed
-// reports whether any membership churn happened at all — it can be true
-// with an empty net delta when an addition and a removal cancel out.
-// The engine's semi-naïve transfer consumes the delta: only Added
-// graphs are stepped through the abstract semantics, and only the parts
-// of Removed members are retracted from the cached out-state.
+// Delta is the net membership change reported by one MergeDeltaBatch
+// call: Added holds the graphs that are members now but were not
+// before the call, and Removed the digests of former members that were
+// joined away. Changed reports whether any membership churn happened
+// at all — it can be true with an empty net delta when an addition and
+// a removal cancel out. The engine's semi-naïve transfer consumes the
+// delta: only Added graphs are stepped through the abstract semantics,
+// and only the parts of Removed members are retracted from the cached
+// out-state.
 type Delta struct {
 	Changed bool
 	Added   []*rsg.Graph
 	Removed []rsg.Digest
-	Keys    []string
-}
-
-// Merge folds a later call's delta into d, netting additions against
-// removals, so d always describes the membership change relative to the
-// state before the first merged call (the engine accumulates one Delta
-// per statement visit across all predecessor contributions).
-func (d *Delta) Merge(o Delta) {
-	d.Changed = d.Changed || o.Changed
-	d.Keys = mergeKeys(d.Keys, o.Keys)
-	if len(o.Added) == 0 && len(o.Removed) == 0 {
-		return
-	}
-	track := newDeltaTracker()
-	for _, g := range d.Added {
-		track.added[g.Digest()] = g
-	}
-	for _, dig := range d.Removed {
-		track.removed[dig] = struct{}{}
-	}
-	// A member removed now was either added earlier this visit (the two
-	// cancel) or predates the visit (net removal); symmetrically, a
-	// member added now may restore one removed earlier.
-	for _, dig := range o.Removed {
-		if _, ok := track.added[dig]; ok {
-			delete(track.added, dig)
-		} else {
-			track.removed[dig] = struct{}{}
-		}
-	}
-	for _, g := range o.Added {
-		dig := g.Digest()
-		if _, ok := track.removed[dig]; ok {
-			delete(track.removed, dig)
-		} else {
-			track.added[dig] = g
-		}
-	}
-	keys := d.Keys
-	*d = track.delta(d.Changed)
-	d.Keys = keys
-}
-
-// mergeKeys unions two sorted key slices, keeping the result sorted.
-func mergeKeys(a, b []string) []string {
-	if len(b) == 0 {
-		return a
-	}
-	if len(a) == 0 {
-		return append([]string(nil), b...)
-	}
-	out := make([]string, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		switch {
-		case j == len(b) || (i < len(a) && a[i] < b[j]):
-			out = append(out, a[i])
-			i++
-		case i == len(a) || b[j] < a[i]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
 }
 
 // deltaTracker nets per-call membership churn into a Delta.
 type deltaTracker struct {
 	added   map[rsg.Digest]*rsg.Graph
 	removed map[rsg.Digest]struct{}
-	keys    map[string]struct{}
 }
 
 func newDeltaTracker() *deltaTracker {
 	return &deltaTracker{
 		added:   make(map[rsg.Digest]*rsg.Graph),
 		removed: make(map[rsg.Digest]struct{}),
-		keys:    make(map[string]struct{}),
 	}
 }
 
 func (t *deltaTracker) add(e entry) {
-	t.keys[e.alias] = struct{}{}
 	if _, ok := t.removed[e.dig]; ok {
 		delete(t.removed, e.dig)
 		return
@@ -558,7 +463,6 @@ func (t *deltaTracker) add(e entry) {
 }
 
 func (t *deltaTracker) remove(e entry) {
-	t.keys[e.alias] = struct{}{}
 	if _, ok := t.added[e.dig]; ok {
 		delete(t.added, e.dig)
 		return
@@ -566,7 +470,7 @@ func (t *deltaTracker) remove(e entry) {
 	t.removed[e.dig] = struct{}{}
 }
 
-// delta renders the net change with deterministic (digest/key) order.
+// delta renders the net change in deterministic (digest) order.
 func (t *deltaTracker) delta(changed bool) Delta {
 	d := Delta{Changed: changed}
 	if len(t.added) > 0 {
@@ -583,45 +487,20 @@ func (t *deltaTracker) delta(changed bool) Delta {
 		}
 		sort.Slice(d.Removed, func(i, j int) bool { return d.Removed[i].Less(d.Removed[j]) })
 	}
-	if len(t.keys) > 0 {
-		d.Keys = make([]string, 0, len(t.keys))
-		for k := range t.keys {
-			d.Keys = append(d.Keys, k)
-		}
-		sort.Strings(d.Keys)
-	}
 	return d
 }
 
-// MergeDelta inserts the graphs of other that s does not already hold,
-// then incrementally re-reduces: only pairs involving a new (or
-// newly-joined) graph are tested for compatibility, because the
-// existing members are already pairwise incompatible. The widening
-// bound (Options.MaxGraphs) is enforced per touched bucket — untouched
-// buckets cannot have grown. Returns the net membership Delta. This is
-// the engine's accumulation primitive: in-states grow monotonically,
-// each growth step costs O(delta x bucket) instead of O(bucket^2), and
-// the returned delta feeds the semi-naïve transfer.
-func (s *Set) MergeDelta(lvl rsg.Level, other *Set, opts Options) Delta {
-	delta := s.absorbContrib(other, nil)
-	if len(delta) == 0 {
-		return Delta{}
-	}
-	return s.mergeEntries(lvl, delta, opts)
-}
-
-// MergeDeltaBatch merges a sequence of contributions in one reduction
-// round: the genuinely-new entries of every contribution (in order)
-// form a single delta queue, so the per-round fixed costs — bucket
-// snapshots, task dispatch, delta netting — are paid once per batch
-// instead of once per contribution. The admissions and joins happen in
-// the same order as sequential MergeDelta calls would perform them;
-// the only divergence is widening timing (the MaxGraphs force-join
-// bound is enforced once per touched bucket per batch rather than
-// after every contribution), which can leave a mid-batch bucket
-// transiently above the bound and join it differently — rarer, never
-// unsound, and deterministic. Returns the net membership Delta across
-// the whole batch.
+// MergeDeltaBatch is the engine's in-state accumulation primitive: it
+// folds a visit's contributions into s in one reduction round and
+// returns the net membership Delta across the whole batch. The
+// genuinely-new entries of every contribution (in order) form a single
+// delta queue, so the per-round fixed costs — bucket snapshots, task
+// dispatch, delta netting — are paid once per visit. Re-reduction is
+// incremental: only pairs involving a new (or newly-joined) graph are
+// tested for compatibility, because the existing members are already
+// pairwise incompatible. In-states grow monotonically, each growth step
+// costs O(delta x bucket) instead of O(bucket^2), and the returned
+// delta feeds the semi-naïve transfer.
 func (s *Set) MergeDeltaBatch(lvl rsg.Level, contribs []*Set, opts Options) Delta {
 	var delta []entry
 	for _, other := range contribs {
@@ -669,12 +548,11 @@ func (s *Set) absorbContrib(other *Set, delta []entry) []entry {
 }
 
 // mergeEntries admits a collected delta queue and incrementally
-// re-reduces the touched alias buckets (the shared tail of MergeDelta
-// and MergeDeltaBatch).
+// re-reduces the touched alias buckets.
 func (s *Set) mergeEntries(lvl rsg.Level, delta []entry, opts Options) Delta {
 	track := newDeltaTracker()
+	changed := false
 	if opts.DisableJoin {
-		changed := false
 		for _, e := range delta {
 			if s.addEntry(e) {
 				changed = true
@@ -684,87 +562,69 @@ func (s *Set) mergeEntries(lvl rsg.Level, delta []entry, opts Options) Delta {
 		return track.delta(changed)
 	}
 
-	changed := false
 	// Process the delta per alias bucket: a new entry can only
 	// deduplicate against or join with members of its own bucket
 	// (digest-equal graphs have equal alias keys, and compatibility
-	// requires them), so buckets are independent tasks run through
-	// opts.Exec and their outcomes applied in sorted-key order —
-	// bit-identical to sequential processing. Merged graphs whose alias
-	// key left the bucket (not possible for the current JOIN/COMPRESS,
-	// which preserve the alias relation; handled defensively) are
-	// re-queued into follow-up sequential rounds.
-	queue := delta
-	for len(queue) > 0 {
-		keyed := make(map[string][]entry)
-		var order []string
-		for _, e := range queue {
-			if _, ok := keyed[e.alias]; !ok {
-				order = append(order, e.alias)
-			}
-			keyed[e.alias] = append(keyed[e.alias], e)
+	// requires them), and a join never leaves its bucket (CSPath demands
+	// equal zero-length paths, so JOIN+COMPRESS keeps the alias key).
+	// Buckets are therefore independent tasks run through opts.Exec,
+	// with their outcomes applied in sorted-key order — bit-identical
+	// to sequential processing.
+	keyed := make(map[string][]entry)
+	var order []string
+	for _, e := range delta {
+		if _, ok := keyed[e.alias]; !ok {
+			order = append(order, e.alias)
 		}
-		sort.Strings(order)
+		keyed[e.alias] = append(keyed[e.alias], e)
+	}
+	sort.Strings(order)
 
-		// Snapshot each touched bucket from the current members.
-		buckets := make(map[string][]entry, len(order))
-		for _, e := range s.entries {
-			if _, ok := keyed[e.alias]; ok {
-				buckets[e.alias] = append(buckets[e.alias], e)
+	// Snapshot each touched bucket from the current members.
+	buckets := make(map[string][]entry, len(order))
+	for _, e := range s.entries {
+		if _, ok := keyed[e.alias]; ok {
+			buckets[e.alias] = append(buckets[e.alias], e)
+		}
+	}
+
+	results := make([]bucketDelta, len(order))
+	tasks := make([]func(), len(order))
+	for i, key := range order {
+		i, key := i, key
+		tasks[i] = func() {
+			results[i] = mergeBucket(lvl, buckets[key], keyed[key], opts.Joins, opts.Stats)
+		}
+	}
+	opts.run(tasks)
+
+	for i, key := range order {
+		bd := &results[i]
+		before := buckets[key]
+		inFinal := make(map[rsg.Digest]struct{}, len(bd.final))
+		for _, e := range bd.final {
+			inFinal[e.dig] = struct{}{}
+		}
+		for _, e := range before {
+			if _, keep := inFinal[e.dig]; !keep {
+				s.removeEntry(e.dig)
+				changed = true
+				track.remove(e)
 			}
 		}
-
-		results := make([]bucketDelta, len(order))
-		tasks := make([]func(), len(order))
-		for i, key := range order {
-			i, key := i, key
-			tasks[i] = func() {
-				bd := mergeBucket(lvl, key, buckets[key], keyed[key], opts.Joins, opts.Stats)
-				if opts.MaxGraphs > 0 && len(bd.final) > opts.MaxGraphs {
-					// Widening: mergeBucket keeps the bucket pairwise
-					// incompatible, so the reduceGroup pass the former
-					// whole-set Reduce ran here is a provable no-op; only
-					// the force-join bound needs enforcing, and only on
-					// touched buckets (untouched ones cannot have grown).
-					sort.Slice(bd.final, func(a, b int) bool { return bd.final[a].dig.Less(bd.final[b].dig) })
-					bd.final, _ = forceGroup(lvl, bd.final, opts.MaxGraphs, opts.Joins, opts.Stats)
-				}
-				results[i] = bd
+		for _, e := range bd.final {
+			if s.addEntry(e) {
+				changed = true
+				track.add(e)
 			}
 		}
-		opts.run(tasks)
-
-		queue = queue[:0:0]
-		for i, key := range order {
-			bd := &results[i]
-			before := buckets[key]
-			inFinal := make(map[rsg.Digest]struct{}, len(bd.final))
-			for _, e := range bd.final {
-				inFinal[e.dig] = struct{}{}
-			}
-			for _, e := range before {
-				if _, keep := inFinal[e.dig]; !keep {
-					s.removeEntry(e.dig)
-					changed = true
-					track.remove(e)
-				}
-			}
-			for _, e := range bd.final {
-				if s.addEntry(e) {
-					changed = true
-					track.add(e)
-				}
-			}
-			for _, dig := range bd.absorbed {
-				s.absorbed[dig] = struct{}{}
-			}
-			queue = append(queue, bd.deferred...)
+		for _, dig := range bd.absorbed {
+			s.absorbed[dig] = struct{}{}
 		}
 	}
 	return track.delta(changed)
 }
 
-// bucketDelta is the outcome of merging one alias bucket's queue.
 // contribKey identifies a fully-absorbed contribution set by the same
 // O(1) (length, set digest) pair Equal compares.
 type contribKey struct {
@@ -772,15 +632,13 @@ type contribKey struct {
 	dig rsg.Digest
 }
 
+// bucketDelta is the outcome of merging one alias bucket's queue.
 type bucketDelta struct {
 	// final is the bucket's complete membership after the merge round.
 	final []entry
 	// absorbed lists the digests of intermediate join results, which
 	// must be recorded so recurring contributions are not re-joined.
 	absorbed []rsg.Digest
-	// deferred holds merged entries whose alias key differs from the
-	// bucket's (defensive; unreachable for the current operators).
-	deferred []entry
 }
 
 // mergeBucket folds queue into bucket — the sequential inner loop of
@@ -791,7 +649,7 @@ type bucketDelta struct {
 // becomes a new member. Out-states propagate along the CFG, so the same
 // canonical pairs are tested and joined at successive statements — with
 // a shared jc those recurrences are map hits.
-func mergeBucket(lvl rsg.Level, key string, bucket, queue []entry, jc *JoinCache, rec *rsg.RunStats) bucketDelta {
+func mergeBucket(lvl rsg.Level, bucket, queue []entry, jc *JoinCache, rec *rsg.RunStats) bucketDelta {
 	var d bucketDelta
 	have := make(map[rsg.Digest]struct{}, len(bucket)+len(queue))
 	for _, e := range bucket {
@@ -823,10 +681,6 @@ func mergeBucket(lvl rsg.Level, key string, bucket, queue []entry, jc *JoinCache
 		bucket = append(append([]entry{}, bucket[:joined]...), bucket[joined+1:]...)
 		delete(have, old.dig)
 		d.absorbed = append(d.absorbed, me.dig)
-		if me.alias != key {
-			d.deferred = append(d.deferred, me)
-			continue
-		}
 		queue = append(queue, me)
 	}
 	d.final = bucket
@@ -851,23 +705,6 @@ func UnionAll(lvl rsg.Level, sets []*Set, opts Options) *Set {
 			continue
 		}
 		for _, e := range s.entries {
-			out.addEntry(e)
-		}
-	}
-	out.Reduce(lvl, opts)
-	return out
-}
-
-// Union returns a new set holding the graphs of both sets, reduced.
-func Union(lvl rsg.Level, a, b *Set, opts Options) *Set {
-	out := New()
-	if a != nil {
-		for _, e := range a.entries {
-			out.addEntry(e)
-		}
-	}
-	if b != nil {
-		for _, e := range b.entries {
 			out.addEntry(e)
 		}
 	}

@@ -81,9 +81,9 @@ func TestReduceDisableJoin(t *testing.T) {
 	}
 }
 
-func TestForceReduceBounds(t *testing.T) {
-	// Build many same-alias graphs with different SHSEL sets so that
-	// normal reduction cannot join them, then check the widening bound.
+func TestReduceKeepsUnjoinableGraphs(t *testing.T) {
+	// Same-alias graphs with different SHSEL sets are incompatible, so
+	// reduction keeps all five: nothing caps a bucket's size.
 	var graphs []*rsg.Graph
 	sels := []string{"a", "b", "c", "d", "e"}
 	for i := 0; i < 5; i++ {
@@ -96,10 +96,6 @@ func TestForceReduceBounds(t *testing.T) {
 	s := FromGraphs(rsg.L1, graphs, Options{})
 	if s.Len() != 5 {
 		t.Fatalf("expected 5 unjoinable graphs, got %d", s.Len())
-	}
-	s = FromGraphs(rsg.L1, graphs, Options{MaxGraphs: 2})
-	if s.Len() > 2 {
-		t.Fatalf("MaxGraphs=2 not enforced: %d", s.Len())
 	}
 }
 
@@ -248,8 +244,8 @@ func TestMergeDeltaMaintainsDigest(t *testing.T) {
 	b := New()
 	b.Add(mkGraph("u", "y"))
 	b.Add(mkGraph("t", "x"))
-	if !a.MergeDelta(rsg.L1, b, Options{}).Changed {
-		t.Fatal("MergeDelta must report change")
+	if !a.MergeDeltaBatch(rsg.L1, []*Set{b}, Options{}).Changed {
+		t.Fatal("MergeDeltaBatch must report change")
 	}
 	var want rsg.Digest
 	a.ForEachEntry(func(_ *rsg.Graph, dig rsg.Digest) {
@@ -258,9 +254,9 @@ func TestMergeDeltaMaintainsDigest(t *testing.T) {
 		}
 	})
 	if a.Digest() != want {
-		t.Fatalf("digest drifted after MergeDelta: %s != %s", a.Digest(), want)
+		t.Fatalf("digest drifted after MergeDeltaBatch: %s != %s", a.Digest(), want)
 	}
-	if a.MergeDelta(rsg.L1, b, Options{}).Changed {
+	if a.MergeDeltaBatch(rsg.L1, []*Set{b}, Options{}).Changed {
 		t.Fatal("re-merging the same set must be a no-op")
 	}
 }

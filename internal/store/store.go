@@ -90,7 +90,7 @@ type SnapStmt struct {
 type Snapshot struct {
 	Prog        Key    // ir.(*Program).Digest()
 	Name        string // program name, the handle for edit-delta lookup
-	Fp          uint64 // options fingerprint (level, soundness & widening knobs)
+	Fp          uint64 // options fingerprint (level and reduction knobs)
 	Converged   bool   // true: a real fixpoint; false: budget-bounded prefix
 	VisitBudget int    // the resolved MaxVisits the run executed under
 	NodeBudget  int    // the resolved NodeBudget
