@@ -26,19 +26,22 @@ test:
 
 # The packages the parallel fixpoint engine touches: the sharded
 # interner (rsg), the Exec-driven bucket reductions (rsrsg), the
-# worker fan-out itself (analysis), the shared append-only store, and
-# the daemon that multiplexes requests over all of them. -short keeps
-# the heavyweight kernels out of the instrumented run.
+# worker fan-out itself (analysis), the programs' once-computed
+# induction sets and digests that concurrent runs share (ir), the
+# shared append-only store, and the daemon that multiplexes requests
+# over all of them. -short keeps the heavyweight kernels out of the
+# instrumented run.
 test-race:
-	$(GO) test -race -short ./internal/rsg/ ./internal/rsrsg/ ./internal/analysis/ ./internal/store/ ./internal/service/
+	$(GO) test -race -short ./internal/rsg/ ./internal/rsrsg/ ./internal/ir/ ./internal/analysis/ ./internal/store/ ./internal/service/
 
 # One iteration over the benchmark surfaces a change is most likely to
 # rot: the digest, clone, freeze, join and compress micro-benches, the
-# Figure-1 pipeline and the Barnes-Hut L1 macro cell, plus a short run
-# of the determinism suite (every worker count must stay bit-identical).
+# Figure-1 pipeline, the Barnes-Hut L1 macro cell, compiling the four
+# kernels and a warm-started store-backed run, plus a short run of the
+# determinism suite (every worker count must stay bit-identical).
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkSignature|BenchmarkDigest|BenchmarkClone|BenchmarkFreeze|BenchmarkJoin|BenchmarkCompressChain' -benchtime=1x ./internal/rsg/
-	$(GO) test -run xxx -bench 'BenchmarkFigure1Pipeline|BenchmarkParallelBarnesHutL1_Workers1$$' -benchtime=1x .
+	$(GO) test -run xxx -bench 'BenchmarkFigure1Pipeline|BenchmarkParallelBarnesHutL1_Workers1$$|BenchmarkCompileKernels|BenchmarkWarmRun' -benchtime=1x .
 	$(GO) test -run TestParallelDeterminism -short -count=1 ./internal/analysis/
 
 # One-rep benchtab run over the snapshot's cells, each to its fixed

@@ -24,6 +24,7 @@ package repro_test
 import (
 	"errors"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -31,6 +32,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/benchprog"
 	"repro/internal/rsg"
+	"repro/internal/store"
 )
 
 // benchVisits bounds the engine work per bench iteration in the default
@@ -99,6 +101,54 @@ func BenchmarkTable1_BarnesHut_L2(b *testing.B) {
 }
 func BenchmarkTable1_BarnesHut_L3(b *testing.B) {
 	benchKernel(b, "barneshut", rsg.L3, analysis.Options{})
+}
+
+// ---- Compile and warm start: the service's per-request costs -----------
+
+// BenchmarkCompileKernels compiles the four Table 1 kernels exactly as
+// the perfbench table1 workload's set-up does. Its allocs/op guards the
+// cost of lowering, which the engine's memoized passes stay out of.
+func BenchmarkCompileKernels(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, k := range benchprog.Kernels() {
+			if _, err := k.Compile(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkWarmRun measures a warm-started Run: matmat at L1 against a
+// store holding its snapshot, on one compiled program, the way shaped
+// serves a repeated request. Every statement is restored from the
+// store and none is transferred.
+func BenchmarkWarmRun(b *testing.B) {
+	st, err := store.Open(filepath.Join(b.TempDir(), "warm.rsgstore"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	prog, err := benchprog.ByName("matmat").Compile()
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := analysis.Options{Level: rsg.L1, Workers: 1, Store: st}
+	if _, err := analysis.Run(prog, opts); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := analysis.Run(prog, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Stats.Visits != 0 || res.Stats.ReusedStatements == 0 {
+			b.Fatalf("run was not warm: %d visits, %d statements reused",
+				res.Stats.Visits, res.Stats.ReusedStatements)
+		}
+	}
 }
 
 // ---- Figure 1: the x->nxt = NULL micro-pipeline ------------------------

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/absem"
-	"repro/internal/induction"
 	"repro/internal/ir"
 	"repro/internal/rsg"
 	"repro/internal/rsrsg"
@@ -263,7 +262,10 @@ type Result struct {
 // ExitSet returns the RSRSG at the function exit.
 func (r *Result) ExitSet() *rsrsg.Set { return r.Out[r.Program.Exit] }
 
-// Run executes the symbolic analysis to its fixed point.
+// Run executes the symbolic analysis to its fixed point. It does not
+// modify prog: the program's induction sets and store digests are
+// computed once per program behind sync.Once guards, so one compiled
+// program can serve any number of concurrent runs.
 func Run(prog *ir.Program, opts Options) (*Result, error) {
 	if opts.Level == 0 {
 		opts.Level = rsg.L1
@@ -271,10 +273,7 @@ func Run(prog *ir.Program, opts Options) (*Result, error) {
 	if opts.MaxVisits == 0 {
 		opts.MaxVisits = 200000
 	}
-	induction.Annotate(prog)
-	// Idempotent; lowering already resolved Syms, but hand-built
-	// programs (tests, benchmarks) may not have.
-	prog.ResolveSyms()
+	prog.AnnotateInduction()
 
 	res := &Result{
 		Program: prog,

@@ -9,6 +9,7 @@ package analysis_test
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/ir"
 	"repro/internal/rsg"
+	"repro/internal/store"
 )
 
 // fig1PipelineSource is the Fig. 1(a) working example: build a doubly
@@ -144,6 +146,65 @@ func TestParallelDeterminism(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRunSharesProgram runs eight goroutines on one freshly compiled
+// program at once, so the program's memoized induction pass and store
+// digests are first computed under contention. Run must not write to
+// its program (-race), and every run must reproduce a sequential run's
+// per-statement digests. L3 reads the induction sets for TOUCH; the
+// store-backed runs also read the program digests, and the later ones
+// may warm-start from an earlier one's snapshot.
+func TestRunSharesProgram(t *testing.T) {
+	const goroutines = 8
+	for _, lvl := range []rsg.Level{rsg.L1, rsg.L3} {
+		opts := analysis.Options{Level: lvl, MaxVisits: 300, Workers: 1}
+		ref, _ := compileKernel(t, "barneshut")
+		res, err := analysis.Run(ref, opts)
+		if err != nil && !errors.Is(err, analysis.ErrNoConvergence) {
+			t.Fatalf("%v sequential run: %v", lvl, err)
+		}
+		want := fingerprint(res)
+		for _, withStore := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%v/store=%v", lvl, withStore), func(t *testing.T) {
+				opts := opts
+				if withStore {
+					st, err := store.Open(filepath.Join(t.TempDir(), "cache.rsgstore"))
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer st.Close()
+					opts.Store = st
+				}
+				prog, _ := compileKernel(t, "barneshut")
+				start := make(chan struct{})
+				errc := make(chan error, goroutines)
+				var wg sync.WaitGroup
+				for i := 0; i < goroutines; i++ {
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						<-start
+						res, err := analysis.Run(prog, opts)
+						if err != nil && !errors.Is(err, analysis.ErrNoConvergence) {
+							errc <- fmt.Errorf("run %d: %v", i, err)
+							return
+						}
+						if got := fingerprint(res); got != want {
+							errc <- fmt.Errorf("run %d (reused %d statements) diverged from the sequential run",
+								i, res.Stats.ReusedStatements)
+						}
+					}(i)
+				}
+				close(start)
+				wg.Wait()
+				close(errc)
+				for err := range errc {
+					t.Error(err)
+				}
+			})
+		}
 	}
 }
 

@@ -154,9 +154,10 @@ func warmEligible(snap *store.Snapshot, opts Options) bool {
 }
 
 // planPersist probes the store and produces the run plan. Called after
-// option defaulting and induction annotation (the digests need both).
-// Also arms the engine's persistent memo tier (stmtKeys) whenever a
-// store is configured, regardless of the mode chosen.
+// option defaulting (the fingerprint needs it); the program digests it
+// reads are computed on the program's first store-backed run and
+// memoized. Also arms the engine's persistent memo tier (stmtKeys)
+// whenever a store is configured, regardless of the mode chosen.
 func (e *engineRun) planPersist(prog *ir.Program, opts Options) *persistPlan {
 	if opts.Store == nil {
 		return &persistPlan{mode: persistOff}
@@ -283,24 +284,36 @@ func (e *engineRun) planEdit(plan *persistPlan, prog *ir.Program, prev *store.Sn
 
 // loadSnapshotOuts materializes the out-states recorded in a snapshot,
 // skipping statements for which skip returns true. Returns ok=false if
-// any referenced graph cannot be loaded and verified.
+// any referenced graph cannot be loaded and verified, or any member
+// list is out of order: the snapshot is then unreadable.
 func loadSnapshotOuts(st *store.Store, snap *store.Snapshot, skip func(id int) bool, rec *rsg.RunStats) (map[int]*rsrsg.Set, bool) {
 	out := make(map[int]*rsrsg.Set, len(snap.Stmts))
 	for _, ss := range snap.Stmts {
 		if !ss.HasOut || (skip != nil && skip(ss.ID)) {
 			continue
 		}
-		graphs := make([]*rsg.Graph, len(ss.Out))
-		for i, d := range ss.Out {
-			g, ok := st.Graph(d)
-			if !ok {
-				return nil, false
-			}
-			graphs[i] = g
+		set, ok := loadSet(st, ss.Out, rec)
+		if !ok {
+			return nil, false
 		}
-		out[ss.ID] = rsrsg.RestoreSetStats(graphs, rec)
+		out[ss.ID] = set
 	}
 	return out, true
+}
+
+// loadSet loads and verifies the member graphs of one stored set and
+// rebuilds it. Returns ok=false when a graph is unreadable or the member
+// list is not strictly ascending.
+func loadSet(st *store.Store, digs []rsg.Digest, rec *rsg.RunStats) (*rsrsg.Set, bool) {
+	graphs := make([]*rsg.Graph, len(digs))
+	for i, d := range digs {
+		g, ok := st.Graph(d)
+		if !ok {
+			return nil, false
+		}
+		graphs[i] = g
+	}
+	return rsrsg.RestoreSetStats(graphs, rec)
 }
 
 // persistFinish records a cold run's outcome as a snapshot. Only cold
@@ -349,21 +362,14 @@ func (e *engineRun) persistFinish(plan *persistPlan, prog *ir.Program, res *Resu
 }
 
 // storeMemoGet probes the persistent transfer-memo tier for one
-// (statement, input digest) pair and rebuilds the cached part.
+// (statement, input digest) pair and rebuilds the cached part. An
+// unreadable part is a miss.
 func (e *engineRun) storeMemoGet(id int, in rsg.Digest) (*rsrsg.Set, bool) {
 	digs, ok := e.store.Memo(e.stmtKeys[id], in)
 	if !ok {
 		return nil, false
 	}
-	graphs := make([]*rsg.Graph, len(digs))
-	for i, d := range digs {
-		g, ok := e.store.Graph(d)
-		if !ok {
-			return nil, false
-		}
-		graphs[i] = g
-	}
-	return rsrsg.RestoreSetStats(graphs, e.rec), true
+	return loadSet(e.store, digs, e.rec)
 }
 
 // storeMemoPut writes one computed transfer part through to the store:

@@ -382,6 +382,56 @@ func TestPersistCorruptedStoreFallsBackToCold(t *testing.T) {
 	}
 }
 
+// TestPersistUnorderedSnapshotRunsCold: restore takes a snapshot's
+// member lists in the ascending digest order the engine writes them. A
+// snapshot with two members swapped was not written by the engine, so
+// the warm probe must find it unreadable and run cold, with the
+// storeless digests.
+func TestPersistUnorderedSnapshotRunsCold(t *testing.T) {
+	ref, err := Run(compileSrc(t, persistSrc), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := outDigests(ref)
+
+	st := openStore(t, filepath.Join(t.TempDir(), "cache.rsgstore"))
+	prog := compileSrc(t, persistSrc)
+	if _, err := Run(prog, Options{Store: st}); err != nil {
+		t.Fatal(err)
+	}
+	snap, ok := st.Snapshot(store.Key(prog.Digest()), optionsFingerprint(Options{Level: rsg.L1}))
+	if !ok {
+		t.Fatal("cold run recorded no snapshot")
+	}
+	bad := *snap
+	bad.Stmts = append([]store.SnapStmt(nil), snap.Stmts...)
+	swapped := false
+	for i := range bad.Stmts {
+		if out := bad.Stmts[i].Out; len(out) >= 2 {
+			out = append([]rsg.Digest(nil), out...)
+			out[0], out[1] = out[1], out[0]
+			bad.Stmts[i].Out = out
+			swapped = true
+			break
+		}
+	}
+	if !swapped {
+		t.Fatal("no statement has two members to swap")
+	}
+	if err := st.PutSnapshot(&bad); err != nil {
+		t.Fatal(err)
+	}
+
+	res, err := Run(compileSrc(t, persistSrc), Options{Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.ReusedStatements != 0 {
+		t.Fatalf("unordered snapshot was served: %d statements reused", res.Stats.ReusedStatements)
+	}
+	sameDigests(t, "unordered-snapshot", want, outDigests(res))
+}
+
 func flip(b []byte, i int) []byte {
 	out := append([]byte(nil), b...)
 	out[i] ^= 0xFF

@@ -52,7 +52,7 @@ func appendSortedSet(b []byte, set map[string]struct{}) []byte {
 // identities compute identical outputs from identical input graphs at
 // the same analysis options, even across different programs; this is
 // the key space of the persistent transfer memo. The caller must have
-// run induction annotation first.
+// run the induction pass first.
 func (p *Program) transferIdentity(b []byte, id int) []byte {
 	s := p.Stmts[id]
 	b = binary.AppendUvarint(b, uint64(s.Op))
@@ -81,31 +81,14 @@ func (p *Program) transferIdentity(b []byte, id int) []byte {
 	return appendSortedSet(b, p.InductionFor(id))
 }
 
-// TransferDigests returns the per-statement context-free transfer
-// digests (see transferIdentity), indexed by statement ID. Induction
-// annotation must have run first.
-func (p *Program) TransferDigests() []StmtDigest {
-	out := make([]StmtDigest, len(p.Stmts))
-	buf := make([]byte, 0, 128)
-	for id := range p.Stmts {
-		buf = p.transferIdentity(buf[:0], id)
-		sum := sha256.Sum256(buf)
-		copy(out[id][:], sum[:16])
-	}
-	return out
-}
-
-// stmtIdentity renders the digest pre-image of one statement: its
-// transfer identity plus the CFG in-flow context. The caller must have
-// run induction annotation first: the erase sets and induction sets
-// below come from Loop.Induction.
-func (p *Program) stmtIdentity(b []byte, id int) []byte {
+// appendInFlow renders the CFG in-flow context that extends a
+// statement's transfer identity to its contextual identity: the
+// predecessor IDs and, per edge, the induction pvars of the loops the
+// edge exits (the TOUCH-erasure set). A statement whose in-flow wiring
+// changed must be re-analyzed even if its own operation did not. The
+// caller must have run the induction pass first.
+func (p *Program) appendInFlow(b []byte, id int) []byte {
 	s := p.Stmts[id]
-	b = p.transferIdentity(b, id)
-	// Incoming edges: the predecessor IDs and, per edge, the induction
-	// pvars of the loops the edge exits (the TOUCH-erasure set). A
-	// statement whose in-flow wiring changed must be re-analyzed even if
-	// its own operation did not.
 	b = binary.AppendUvarint(b, uint64(len(s.Preds)))
 	for _, pred := range s.Preds {
 		b = binary.AppendUvarint(b, uint64(pred))
@@ -120,39 +103,53 @@ func (p *Program) stmtIdentity(b []byte, id int) []byte {
 	return b
 }
 
-// StmtDigests returns the per-statement identity digests, indexed by
-// statement ID. Induction annotation must have run (the engine runs it
-// before consulting the store).
-func (p *Program) StmtDigests() []StmtDigest {
-	out := make([]StmtDigest, len(p.Stmts))
-	buf := make([]byte, 0, 256)
-	for id := range p.Stmts {
-		buf = p.stmtIdentity(buf[:0], id)
-		sum := sha256.Sum256(buf)
-		copy(out[id][:], sum[:16])
-	}
-	return out
+// programDigests is a program's store key material (DESIGN.md §13).
+type programDigests struct {
+	prog      [16]byte
+	stmts     []StmtDigest
+	transfers []StmtDigest
 }
 
-// Digest returns the 128-bit identity of the whole program: every
-// statement's contextual identity plus the CFG edges, entry/exit, the
-// declared pvar and selector tables, and the loop forest. Two programs
-// with equal digests are indistinguishable to the analysis engine, so a
-// stored fixpoint snapshot keyed on this digest can be replayed
-// verbatim. Name and source lines are deliberately excluded:
-// reformatting a source, or renaming the function, keeps the key.
-func (p *Program) Digest() [16]byte {
-	b := make([]byte, 0, 4096)
-	b = binary.AppendUvarint(b, uint64(len(p.Stmts)))
-	b = binary.AppendUvarint(b, uint64(p.Entry))
-	b = binary.AppendUvarint(b, uint64(p.Exit))
-	for id, s := range p.Stmts {
-		b = p.stmtIdentity(b, id)
-		b = binary.AppendUvarint(b, uint64(len(s.Succs)))
-		for _, succ := range s.Succs {
-			b = binary.AppendUvarint(b, uint64(succ))
+// storeDigests computes every store digest of the program once, running
+// the induction pass first, and returns the memoized result. It renders
+// each statement's identity once, into the program digest's pre-image:
+// the statement's transfer digest hashes the transfer identity, its
+// contextual digest hashes that identity extended by the in-flow
+// context, and the program digest hashes the whole buffer.
+func (p *Program) storeDigests() *programDigests {
+	p.digestOnce.Do(func() {
+		p.AnnotateInduction()
+		d := &p.digests
+		d.stmts = make([]StmtDigest, len(p.Stmts))
+		d.transfers = make([]StmtDigest, len(p.Stmts))
+		b := make([]byte, 0, 4096)
+		b = binary.AppendUvarint(b, uint64(len(p.Stmts)))
+		b = binary.AppendUvarint(b, uint64(p.Entry))
+		b = binary.AppendUvarint(b, uint64(p.Exit))
+		for id, s := range p.Stmts {
+			start := len(b)
+			b = p.transferIdentity(b, id)
+			sum := sha256.Sum256(b[start:])
+			copy(d.transfers[id][:], sum[:16])
+			b = p.appendInFlow(b, id)
+			sum = sha256.Sum256(b[start:])
+			copy(d.stmts[id][:], sum[:16])
+			b = binary.AppendUvarint(b, uint64(len(s.Succs)))
+			for _, succ := range s.Succs {
+				b = binary.AppendUvarint(b, uint64(succ))
+			}
 		}
-	}
+		b = p.appendDecls(b)
+		sum := sha256.Sum256(b)
+		copy(d.prog[:], sum[:16])
+	})
+	return &p.digests
+}
+
+// appendDecls renders the program-level tail of the program digest's
+// pre-image: the declared pvar and selector tables and the loop forest
+// with its induction sets.
+func (p *Program) appendDecls(b []byte) []byte {
 	// Declared pvars and their pointee types, sorted by name.
 	pvars := make([]string, 0, len(p.PtrVars))
 	for v := range p.PtrVars {
@@ -193,18 +190,26 @@ func (p *Program) Digest() [16]byte {
 		for _, id := range body {
 			b = binary.AppendUvarint(b, uint64(id))
 		}
-		ind := make([]string, 0, len(l.Induction))
-		for pv := range l.Induction {
-			ind = append(ind, pv)
-		}
-		sort.Strings(ind)
-		b = binary.AppendUvarint(b, uint64(len(ind)))
-		for _, pv := range ind {
-			b = appendString(b, pv)
-		}
+		b = appendSortedSet(b, l.Induction)
 	}
-	sum := sha256.Sum256(b)
-	var out [16]byte
-	copy(out[:], sum[:16])
-	return out
+	return b
 }
+
+// TransferDigests returns the per-statement context-free transfer
+// digests (see transferIdentity), indexed by statement ID. The slice is
+// computed once and shared: callers must not modify it.
+func (p *Program) TransferDigests() []StmtDigest { return p.storeDigests().transfers }
+
+// StmtDigests returns the per-statement contextual identity digests
+// (see StmtDigest), indexed by statement ID. The slice is computed once
+// and shared: callers must not modify it.
+func (p *Program) StmtDigests() []StmtDigest { return p.storeDigests().stmts }
+
+// Digest returns the 128-bit identity of the whole program: every
+// statement's contextual identity plus the CFG edges, entry/exit, the
+// declared pvar and selector tables, and the loop forest. Two programs
+// with equal digests are indistinguishable to the analysis engine, so a
+// stored fixpoint snapshot keyed on this digest can be replayed
+// verbatim. Name and source lines are deliberately excluded:
+// reformatting a source, or renaming the function, keeps the key.
+func (p *Program) Digest() [16]byte { return p.storeDigests().prog }

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/benchprog"
 	"repro/internal/cminic"
-	"repro/internal/induction"
 	"repro/internal/ir"
 )
 
@@ -59,7 +58,6 @@ func TestDigestsPinned(t *testing.T) {
 		t.Fatalf("compiled %d programs, pinned %d", len(progs), len(want))
 	}
 	for name, prog := range progs {
-		induction.Annotate(prog)
 		dig := prog.Digest()
 		got := pinnedDigests{
 			prog:      hex.EncodeToString(dig[:]),

@@ -1,5 +1,7 @@
-// Package induction identifies induction pointer variables: the pvars a
-// loop uses to traverse recursive data structures. The paper (Sect. 3)
+package ir
+
+// This file identifies induction pointer variables: the pvars a loop
+// uses to traverse recursive data structures. The paper (Sect. 3)
 // restricts TOUCH sets to these pvars — following Hwang and Saltz's
 // access-path-expression analysis — to avoid a node explosion at
 // analysis level L3.
@@ -10,47 +12,46 @@
 // that traverses at least one load — i.e. each iteration advances p
 // along a selector path, directly (p = p->next) or through temporaries
 // (t = p->next; p = t).
-package induction
 
-import (
-	"repro/internal/ir"
-)
-
-// Annotate computes the induction pvar set of every loop in the program
-// and stores it in the loops' Induction fields. It returns the union
-// over all loops.
-func Annotate(p *ir.Program) map[string]struct{} {
-	all := make(map[string]struct{})
-	for _, loop := range p.Loops {
-		set := loopInduction(p, loop)
-		loop.Induction = set
-		for pv := range set {
-			all[pv] = struct{}{}
+// AnnotateInduction computes the induction pvar set of every loop and
+// stores it in the loops' Induction fields, and returns the union over
+// all loops. The pass runs once per program; later calls, from any
+// goroutine, return the same union after the first has finished, so
+// concurrent analyses may share the program. Callers must not modify
+// the returned map.
+func (p *Program) AnnotateInduction() map[string]struct{} {
+	p.inductionOnce.Do(func() {
+		p.induction = make(map[string]struct{})
+		for _, loop := range p.Loops {
+			loop.Induction = p.loopInduction(loop)
+			for pv := range loop.Induction {
+				p.induction[pv] = struct{}{}
+			}
 		}
-	}
-	return all
+	})
+	return p.induction
 }
 
-// edge is one def-use step: dst gets its value from src, advancing
-// `weight` selectors (0 for copies, 1 for loads).
-type edge struct {
+// defUseEdge is one def-use step: dst gets its value from src,
+// advancing `weight` selectors (0 for copies, 1 for loads).
+type defUseEdge struct {
 	dst    string
 	weight int
 }
 
 // loopInduction runs the cycle test for one loop.
-func loopInduction(p *ir.Program, loop *ir.Loop) map[string]struct{} {
-	adj := make(map[string][]edge)
+func (p *Program) loopInduction(loop *Loop) map[string]struct{} {
+	adj := make(map[string][]defUseEdge)
 	vars := make(map[string]struct{})
 	for id := range loop.Body {
 		s := p.Stmt(id)
 		switch s.Op {
-		case ir.OpCopy:
-			adj[s.Y] = append(adj[s.Y], edge{dst: s.X, weight: 0})
+		case OpCopy:
+			adj[s.Y] = append(adj[s.Y], defUseEdge{dst: s.X, weight: 0})
 			vars[s.X] = struct{}{}
 			vars[s.Y] = struct{}{}
-		case ir.OpLoad:
-			adj[s.Y] = append(adj[s.Y], edge{dst: s.X, weight: 1})
+		case OpLoad:
+			adj[s.Y] = append(adj[s.Y], defUseEdge{dst: s.X, weight: 1})
 			vars[s.X] = struct{}{}
 			vars[s.Y] = struct{}{}
 		}
@@ -67,7 +68,7 @@ func loopInduction(p *ir.Program, loop *ir.Loop) map[string]struct{} {
 
 // hasAdvancingCycle reports whether start can reach itself through the
 // def-use edges with at least one load on the way.
-func hasAdvancingCycle(adj map[string][]edge, start string) bool {
+func hasAdvancingCycle(adj map[string][]defUseEdge, start string) bool {
 	// State: (pvar, sawLoad). BFS over at most 2*|vars| states.
 	type state struct {
 		v       string

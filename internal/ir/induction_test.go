@@ -1,32 +1,22 @@
-package induction
+package ir
 
-import (
-	"testing"
+import "testing"
 
-	"repro/internal/cminic"
-	"repro/internal/ir"
-)
-
-func annotate(t *testing.T, src string) *ir.Program {
+// annotate lowers src and runs the induction pass on it.
+func annotate(t *testing.T, src string) *Program {
 	t.Helper()
-	f, err := cminic.Parse(src)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	p, err := ir.LowerMain(f)
-	if err != nil {
-		t.Fatalf("lower: %v", err)
-	}
-	Annotate(p)
+	p := lower(t, src)
+	p.AnnotateInduction()
 	return p
 }
 
-const prologue = `
+// listPrologue declares the doubly linked node the induction tests walk.
+const listPrologue = `
 struct node { int v; struct node *nxt; struct node *prv; };
 `
 
 func TestDirectTraversalPvar(t *testing.T) {
-	p := annotate(t, prologue+`
+	p := annotate(t, listPrologue+`
 void main(void) {
     struct node *p;
     p = malloc(sizeof(struct node));
@@ -44,7 +34,7 @@ void main(void) {
 
 func TestTraversalThroughTemp(t *testing.T) {
 	// q = p->nxt; p = q — a copy chain with one load: p advances.
-	p := annotate(t, prologue+`
+	p := annotate(t, listPrologue+`
 void main(void) {
     struct node *p;
     struct node *q;
@@ -65,7 +55,7 @@ void main(void) {
 
 func TestMallocAdvanceIsNotInduction(t *testing.T) {
 	// The list-building pattern p = q with q = malloc: no load cycle.
-	p := annotate(t, prologue+`
+	p := annotate(t, listPrologue+`
 void main(void) {
     struct node *p;
     struct node *q;
@@ -83,7 +73,7 @@ void main(void) {
 }
 
 func TestPerLoopSets(t *testing.T) {
-	p := annotate(t, prologue+`
+	p := annotate(t, listPrologue+`
 void main(void) {
     struct node *p;
     struct node *q;
@@ -110,7 +100,7 @@ void main(void) {
 }
 
 func TestNestedLoopInduction(t *testing.T) {
-	p := annotate(t, prologue+`
+	p := annotate(t, listPrologue+`
 void main(void) {
     struct node *p;
     struct node *q;
@@ -146,13 +136,13 @@ void main(void) {
 }
 
 func TestAnnotateReturnsUnion(t *testing.T) {
-	p := annotate(t, prologue+`
+	p := annotate(t, listPrologue+`
 void main(void) {
     struct node *p;
     p = malloc(sizeof(struct node));
     while (c) { p = p->nxt; }
 }`)
-	all := Annotate(p)
+	all := p.AnnotateInduction()
 	if _, ok := all["p"]; !ok {
 		t.Errorf("union = %v", all)
 	}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/rsg"
 )
@@ -91,9 +92,8 @@ type Stmt struct {
 	Type string // allocated struct type (malloc)
 	Line int    // source line
 	// XSym, YSym, SelSym and TypeSym are the interned forms of X, Y,
-	// Sel and Type, filled in by Program.ResolveSyms so the per-visit
-	// transfer functions address the graph by symbol instead of
-	// hashing strings.
+	// Sel and Type, filled in by lowering so the per-visit transfer
+	// functions address the graph by symbol instead of hashing strings.
 	XSym    rsg.Sym
 	YSym    rsg.Sym
 	SelSym  rsg.Sym
@@ -145,8 +145,8 @@ type Loop struct {
 	// Body is the set of statement IDs inside the loop (condition
 	// evaluation, body and post statements).
 	Body map[int]struct{}
-	// Induction is the set of induction pvars of this loop (filled by
-	// the induction package).
+	// Induction is the set of induction pvars of this loop, filled by
+	// Program.AnnotateInduction.
 	Induction map[string]struct{}
 	// Parent is the enclosing loop's ID, or -1.
 	Parent int
@@ -155,6 +155,9 @@ type Loop struct {
 }
 
 // Program is a lowered function: the CFG plus type and loop metadata.
+// Once lowered and named, a Program is written only by the two
+// memoized passes below, each guarded by a sync.Once, so one Program
+// can serve concurrent analyses. A Program must not be copied.
 type Program struct {
 	Name  string
 	Stmts []*Stmt
@@ -168,17 +171,23 @@ type Program struct {
 	Selectors map[string][]string
 	// Temps lists the compiler-generated temporary pvars.
 	Temps []string
+
+	// inductionOnce guards AnnotateInduction; induction is the union of
+	// the loops' induction sets.
+	inductionOnce sync.Once
+	induction     map[string]struct{}
+	// digestOnce guards the store digests (digest.go).
+	digestOnce sync.Once
+	digests    programDigests
 }
 
 // Stmt returns the statement with the given ID.
 func (p *Program) Stmt(id int) *Stmt { return p.Stmts[id] }
 
-// ResolveSyms interns every name appearing in the program — pvars,
+// resolveSyms interns every name appearing in the program — pvars,
 // selectors, struct types — and stamps each statement with the interned
-// forms of its operands. Lowering calls it once per program; it is
-// idempotent, and the engine re-runs it defensively so hand-built
-// programs (tests, benchmarks) work too.
-func (p *Program) ResolveSyms() {
+// forms of its operands. Lowering calls it once per program.
+func (p *Program) resolveSyms() {
 	for v := range p.PtrVars {
 		rsg.PvarSym(v)
 	}

@@ -49,7 +49,7 @@ func Lower(file *cminic.File, fn *cminic.FuncDecl) (*Program, error) {
 		return nil, l.err
 	}
 	l.prog.ComputePreds()
-	l.prog.ResolveSyms()
+	l.prog.resolveSyms()
 	return l.prog, nil
 }
 

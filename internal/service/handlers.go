@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/ir"
 	"repro/internal/rsg"
 	"repro/internal/verdict"
 )
@@ -136,24 +135,6 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// compileSource parses and lowers the request source, naming the
-// program for store keying.
-func compileSource(name, source string) (*ir.Program, error) {
-	if source == "" {
-		return nil, errors.New("empty source")
-	}
-	prog, err := verdict.Compile(source)
-	if err != nil {
-		return nil, err
-	}
-	if name == "" {
-		sum := sha256.Sum256([]byte(source))
-		name = "src-" + hex.EncodeToString(sum[:6])
-	}
-	prog.Name = name
-	return prog, nil
-}
-
 // clampBudgets folds the request budgets and the server ceilings into
 // engine options.
 func (s *Service) clampBudgets(opts *analysis.Options, timeoutMS int64, maxVisits, nodeBudget int) {
@@ -194,25 +175,29 @@ func levelFromRequest(lvl int) (rsg.Level, error) {
 	return 0, fmt.Errorf("level %d out of range 1..3", lvl)
 }
 
-// resultDigests renders the per-statement digest map and its canonical
-// fold. The fold hashes (id, digest) pairs in ascending statement-ID
-// order, so two results agree iff every statement's RSRSG is
-// bit-identical.
-func resultDigests(res *analysis.Result) (fold string, stmts map[string]string, exit string) {
+// resultDigests renders the canonical fold of the per-statement
+// digests and, when withStmts is set, the per-statement digest map. The
+// fold hashes (id, digest) pairs in ascending statement-ID order, so
+// two results agree iff every statement's RSRSG is bit-identical.
+func resultDigests(res *analysis.Result, withStmts bool) (fold string, stmts map[string]string, exit string) {
 	ids := make([]int, 0, len(res.Out))
 	for id := range res.Out {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
 	h := sha256.New()
-	stmts = make(map[string]string, len(ids))
+	if withStmts {
+		stmts = make(map[string]string, len(ids))
+	}
 	var buf [8]byte
 	for _, id := range ids {
 		d := res.Out[id].Digest()
 		binary.BigEndian.PutUint64(buf[:], uint64(id))
 		h.Write(buf[:])
 		h.Write(d[:])
-		stmts[strconv.Itoa(id)] = d.String()
+		if withStmts {
+			stmts[strconv.Itoa(id)] = d.String()
+		}
 	}
 	sum := h.Sum(nil)
 	fold = hex.EncodeToString(sum[:16])
@@ -243,9 +228,7 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	start := time.Now()
 
-	// Run mutates the program (induction annotation, symbol
-	// resolution), so every request compiles its own.
-	prog, err := compileSource(req.Name, req.Source)
+	prog, err := s.progs.compile(req.Name, req.Source)
 	if err != nil {
 		s.analyzeEP.failures.Add(1)
 		writeError(w, http.StatusBadRequest, "service: compile: "+err.Error())
@@ -295,12 +278,7 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// A budget abort leaves the out-states mid-flight; digests are only
 	// meaningful for converged and visit-bounded results.
 	if resp.Outcome != "budget-exceeded" {
-		fold, stmts, exit := resultDigests(res)
-		resp.ResultDigest = fold
-		resp.ExitDigest = exit
-		if req.Digests {
-			resp.StmtDigests = stmts
-		}
+		resp.ResultDigest, resp.StmtDigests, resp.ExitDigest = resultDigests(res, req.Digests)
 	}
 	s.analyzeEP.ok.Add(1)
 	s.analyzeEP.observe(time.Since(start))
@@ -321,7 +299,7 @@ func (s *Service) handleCheck(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	start := time.Now()
 
-	prog, err := compileSource(req.Name, req.Source)
+	prog, err := s.progs.compile(req.Name, req.Source)
 	if err != nil {
 		s.checkEP.failures.Add(1)
 		writeError(w, http.StatusBadRequest, "service: compile: "+err.Error())

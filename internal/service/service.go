@@ -10,8 +10,9 @@
 //	                 per-statement RSRSG digests.
 //	POST /check    — the internal/verdict memory-safety checkers;
 //	                 responds with one verdict per class.
-//	GET  /stats    — store counts, aggregate engine counters, and
-//	                 per-endpoint request/latency/queue counters.
+//	GET  /stats    — store counts, aggregate engine counters, the
+//	                 compiled-program cache counters, and per-endpoint
+//	                 request/latency/queue counters.
 //	GET  /healthz  — liveness probe.
 //
 // Admission is a bounded worker pool: at most Config.Workers requests
@@ -20,7 +21,9 @@
 // cap, node budget) are taken from the request but clamped by the
 // server-side ceilings, so no client can pin a worker indefinitely; a
 // run that exceeds its timeout answers 504 while the other workers
-// keep serving.
+// keep serving. Both POST endpoints share compiled programs across
+// requests with the same name and source (progcache.go); the engine
+// never modifies a program, so concurrent requests may share one.
 package service
 
 import (
@@ -153,6 +156,7 @@ type Service struct {
 	analyzeEP epStats
 	checkEP   epStats
 	agg       aggStats
+	progs     progCache
 }
 
 // New builds a Service from cfg (zero fields defaulted).
@@ -302,6 +306,7 @@ type StatsResponse struct {
 	QueuedNow int64                    `json:"queued_now"`
 	Store     *StoreStats              `json:"store,omitempty"`
 	Analysis  AnalysisTotals           `json:"analysis"`
+	Programs  ProgramStats             `json:"programs"`
 	Endpoints map[string]EndpointStats `json:"endpoints"`
 }
 
@@ -327,6 +332,7 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 			InternHits:      s.agg.internHits.Load(),
 			InternMisses:    s.agg.internMisses.Load(),
 		},
+		Programs: s.progs.stats(),
 		Endpoints: map[string]EndpointStats{
 			"analyze": s.analyzeEP.snapshot(),
 			"check":   s.checkEP.snapshot(),

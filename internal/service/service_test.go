@@ -123,11 +123,29 @@ func TestAnalyzeMatchesSoloRun(t *testing.T) {
 	}
 }
 
+// getStats fetches and decodes GET /stats.
+func getStats(t *testing.T, url string) service.StatsResponse {
+	t.Helper()
+	r, err := http.Get(url + "/stats")
+	if err != nil {
+		t.Fatalf("GET /stats: %v", err)
+	}
+	defer r.Body.Close()
+	var stats service.StatsResponse
+	if err := json.NewDecoder(r.Body).Decode(&stats); err != nil {
+		t.Fatalf("decode stats: %v", err)
+	}
+	return stats
+}
+
 // TestConcurrentMixedRequests drives 8 simultaneous requests — a mix
 // of /analyze and /check across different programs — through one
 // shared store, and checks every /analyze digest map against its solo
 // storeless run and every /check verdict line against a solo
-// verdict.Check.
+// verdict.Check. The batch names three distinct (name, source) pairs,
+// so it leaves three cached programs; a second identical batch is served
+// entirely from them, with identical /analyze and /check requests
+// running concurrently on one shared program.
 func TestConcurrentMixedRequests(t *testing.T) {
 	srv, st := newServer(t, service.Config{Workers: 8, Queue: 8})
 
@@ -153,6 +171,30 @@ func TestConcurrentMixedRequests(t *testing.T) {
 		}
 	}
 
+	batch := int64(len(analyzeKernels) + len(checkKernels))
+	var misses int64
+	for round := int64(1); round <= 2; round++ {
+		runMixedBatch(t, srv.URL, analyzeKernels, checkKernels, wantDigests, wantVerdicts)
+		progs := getStats(t, srv.URL).Programs
+		if progs.Entries != 3 || progs.Hits+progs.Misses != round*batch {
+			t.Errorf("batch %d: program cache %+v, want 3 entries and %d lookups", round, progs, round*batch)
+		}
+		if round == 2 && progs.Misses != misses {
+			t.Errorf("batch 2 compiled again: program cache %+v, %d misses after batch 1", progs, misses)
+		}
+		misses = progs.Misses
+	}
+
+	if g, _, _ := st.Counts(); g == 0 {
+		t.Error("shared store recorded no graphs across 8 requests")
+	}
+}
+
+// runMixedBatch sends the /analyze and /check requests all at once and
+// checks each reply against the solo results.
+func runMixedBatch(t *testing.T, url string, analyzeKernels, checkKernels []string,
+	wantDigests map[string]map[string]string, wantVerdicts map[string][]string) {
+	t.Helper()
 	var wg sync.WaitGroup
 	errc := make(chan error, len(analyzeKernels)+len(checkKernels))
 	for i, kernel := range analyzeKernels {
@@ -160,7 +202,7 @@ func TestConcurrentMixedRequests(t *testing.T) {
 		go func(i int, kernel string) {
 			defer wg.Done()
 			var resp service.AnalyzeResponse
-			code, body := postJSON(t, srv.URL+"/analyze", service.AnalyzeRequest{
+			code, body := postJSON(t, url+"/analyze", service.AnalyzeRequest{
 				Name:    kernel,
 				Source:  benchprog.ByName(kernel).Source,
 				Level:   1,
@@ -180,7 +222,7 @@ func TestConcurrentMixedRequests(t *testing.T) {
 		go func(i int, kernel string) {
 			defer wg.Done()
 			var resp service.CheckResponse
-			code, body := postJSON(t, srv.URL+"/check", service.CheckRequest{
+			code, body := postJSON(t, url+"/check", service.CheckRequest{
 				Name:   kernel,
 				Source: benchprog.ByName(kernel).Source,
 			}, &resp)
@@ -201,10 +243,6 @@ func TestConcurrentMixedRequests(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Error(err)
-	}
-
-	if g, _, _ := st.Counts(); g == 0 {
-		t.Error("shared store recorded no graphs across 8 requests")
 	}
 }
 
@@ -255,10 +293,11 @@ func TestTimeoutReturns504WhileOthersComplete(t *testing.T) {
 }
 
 // TestStatsEndpoint checks that /stats surfaces the store counts, the
-// aggregate engine counters and the per-endpoint blocks after traffic:
-// a cold /analyze of matvec, then an edited re-run of the same name,
-// which reseeds the edit's cone and serves part of it from the store's
-// transfer memo.
+// aggregate engine counters, the compiled-program cache counters and
+// the per-endpoint blocks after traffic: a cold /analyze of matvec, an
+// edited re-run of the same name, which reseeds the edit's cone and
+// serves part of it from the store's transfer memo, and a repeat of the
+// edit, which reuses its compiled program.
 func TestStatsEndpoint(t *testing.T) {
 	srv, _ := newServer(t, service.Config{Workers: 2})
 
@@ -267,7 +306,7 @@ func TestStatsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, src := range []string{base, edited} {
+	for _, src := range []string{base, edited, edited} {
 		var resp service.AnalyzeResponse
 		code, body := postJSON(t, srv.URL+"/analyze", service.AnalyzeRequest{
 			Name:   "matvec",
@@ -278,15 +317,7 @@ func TestStatsEndpoint(t *testing.T) {
 		}
 	}
 
-	r, err := http.Get(srv.URL + "/stats")
-	if err != nil {
-		t.Fatalf("GET /stats: %v", err)
-	}
-	defer r.Body.Close()
-	var stats service.StatsResponse
-	if err := json.NewDecoder(r.Body).Decode(&stats); err != nil {
-		t.Fatalf("decode stats: %v", err)
-	}
+	stats := getStats(t, srv.URL)
 	if stats.Store == nil || stats.Store.Snapshots == 0 {
 		t.Errorf("stats store block missing or empty: %+v", stats.Store)
 	}
@@ -296,8 +327,11 @@ func TestStatsEndpoint(t *testing.T) {
 	if stats.Analysis.StoreMemoHits == 0 || stats.Analysis.ReseededStmts == 0 {
 		t.Errorf("edit re-run left the edit-path counters at zero: %+v", stats.Analysis)
 	}
+	if want := (service.ProgramStats{Hits: 1, Misses: 2, Entries: 2}); stats.Programs != want {
+		t.Errorf("program cache counters %+v, want %+v", stats.Programs, want)
+	}
 	ep, ok := stats.Endpoints["analyze"]
-	if !ok || ep.Requests != 2 || ep.OK != 2 {
+	if !ok || ep.Requests != 3 || ep.OK != 3 {
 		t.Errorf("analyze endpoint counters wrong: %+v", ep)
 	}
 	if ep.TotalUS <= 0 || ep.MaxUS <= 0 {
