@@ -29,7 +29,8 @@
 // -compare FILE prints per-cell deltas against a previous -json
 // snapshot, matching cells by (bench, level, persist mode). Snapshot
 // rows that measured engine paths since removed (the RPO scheduler,
-// or delta propagation off) are skipped.
+// or delta propagation off) are skipped, and so is the peak heap of
+// snapshots written before -json recorded it.
 //
 // Usage:
 //
@@ -76,18 +77,26 @@ type cell struct {
 	reps []repMeasurement
 }
 
-// repMeasurement is one rep's outcome for one cell.
+// repMeasurement is one rep's outcome for one cell. It keeps the run's
+// counters but not its Result: every rep lives until the table is
+// printed, and a retained fixed point would count in the peak heap of
+// every cell measured after it.
 type repMeasurement struct {
 	ns         int64
 	allocBytes uint64
 	allocObjs  uint64
-	rep        analysis.LevelReport
+	peakHeap   uint64
+	stats      *analysis.Stats // nil when the run aborted
+	err        error
 }
 
 // cellResult is the JSON form of one cell's aggregated result. Delta
 // and Sched label the engine path that ran: always delta propagation
 // under the WTO scheduler now, while older snapshots also hold rows
-// for the removed paths, which printCompare skips.
+// for the removed paths, which printCompare skips. MedianPeakHeap is
+// the Space column, the median over reps of the sampled peak heap
+// (analysis.LevelReport.PeakHeapBytes); snapshots written before it was
+// recorded read 0.
 type cellResult struct {
 	Bench            string  `json:"bench"`
 	Level            string  `json:"level"`
@@ -100,6 +109,7 @@ type cellResult struct {
 	MedianNs         int64   `json:"median_ns"`
 	MedianAllocBytes uint64  `json:"median_alloc_bytes"`
 	MedianAllocs     uint64  `json:"median_allocs"`
+	MedianPeakHeap   uint64  `json:"median_peak_heap_bytes"`
 	PoolHitRate      float64 `json:"pool_hit_rate"`
 	MaskSpills       uint64  `json:"mask_spills"`
 	DeltaTransfers   int     `json:"delta_transfers"`
@@ -311,12 +321,18 @@ func main() {
 				os.Exit(1)
 			}
 			rep := analysis.RunLevel(prog, c.lvl, nil, c.opts)
-			c.reps = append(c.reps, repMeasurement{
+			m := repMeasurement{
 				ns:         rep.Duration.Nanoseconds(),
 				allocBytes: rep.AllocBytes,
 				allocObjs:  rep.AllocObjects,
-				rep:        rep,
-			})
+				peakHeap:   rep.PeakHeapBytes,
+				err:        rep.Err,
+			}
+			if rep.Result != nil {
+				st := rep.Result.Stats // a copy: a pointer into Result would keep it alive
+				m.stats = &st
+			}
+			c.reps = append(c.reps, m)
 		}
 	}
 
@@ -334,19 +350,18 @@ func main() {
 	for _, c := range cells {
 		cr := c.aggregate(*workers, *visits)
 		doc.Results = append(doc.Results, cr)
-		last := c.reps[len(c.reps)-1].rep
+		last := c.reps[len(c.reps)-1]
 		peak := "-"
 		poolHit := "-"
-		if last.Result != nil {
-			peak = fmt.Sprintf("%d/%d/%d", last.Result.Stats.PeakNodes,
-				last.Result.Stats.PeakLinks, last.Result.Stats.PeakGraphs)
+		if st := last.stats; st != nil {
+			peak = fmt.Sprintf("%d/%d/%d", st.PeakNodes, st.PeakLinks, st.PeakGraphs)
 			poolHit = fmt.Sprintf("%.1f%%", 100*cr.PoolHitRate)
 		}
 		fmt.Printf("%-10s %-4s %-7s %-13s %-12s %-12s %-10s %-26s %-9s %s\n",
 			c.kernel.Name, c.lvl, c.persist,
 			time.Duration(cr.MedianNs).Round(10*time.Millisecond),
-			fmt.Sprintf("%.1f MB", float64(last.PeakHeapBytes)/(1<<20)),
-			fmt.Sprintf("%.1f MB", float64(cr.MedianAllocBytes)/(1<<20)),
+			fmtMB(cr.MedianPeakHeap),
+			fmtMB(cr.MedianAllocBytes),
 			fmtCount(cr.MedianAllocs),
 			peak, poolHit, cr.Outcome)
 	}
@@ -402,17 +417,18 @@ func main() {
 	}
 }
 
-// aggregate folds a cell's reps into its JSON result: time and
-// allocation are per-rep medians; the engine counters are taken from
-// the last rep (they are deterministic per configuration).
+// aggregate folds a cell's reps into its JSON result: time,
+// allocation and peak heap are per-rep medians; the engine counters are
+// taken from the last rep (they are deterministic per configuration).
 func (c *cell) aggregate(workers, visits int) cellResult {
 	ns := make([]int64, len(c.reps))
 	ab := make([]uint64, len(c.reps))
 	ao := make([]uint64, len(c.reps))
+	ph := make([]uint64, len(c.reps))
 	for i, m := range c.reps {
-		ns[i], ab[i], ao[i] = m.ns, m.allocBytes, m.allocObjs
+		ns[i], ab[i], ao[i], ph[i] = m.ns, m.allocBytes, m.allocObjs, m.peakHeap
 	}
-	last := c.reps[len(c.reps)-1].rep
+	last := c.reps[len(c.reps)-1]
 	cr := cellResult{
 		Bench:            c.kernel.Name,
 		Level:            c.lvl.String(),
@@ -425,13 +441,13 @@ func (c *cell) aggregate(workers, visits int) cellResult {
 		MedianNs:         medianI64(ns),
 		MedianAllocBytes: medianU64(ab),
 		MedianAllocs:     medianU64(ao),
+		MedianPeakHeap:   medianU64(ph),
 		Outcome:          "ok",
 	}
-	if last.Err != nil {
-		cr.Outcome = last.Err.Error()
+	if last.err != nil {
+		cr.Outcome = last.err.Error()
 	}
-	if last.Result != nil {
-		st := last.Result.Stats
+	if st := last.stats; st != nil {
 		cr.PoolHitRate = st.PoolHitRate()
 		cr.MaskSpills = st.Cache.MaskSpills
 		cr.DeltaTransfers = st.DeltaTransfers
@@ -447,11 +463,12 @@ func (c *cell) aggregate(workers, visits int) cellResult {
 }
 
 // printCompare loads a previous -json snapshot and prints per-cell
-// time and allocation deltas against the current results, matching
-// cells by (bench, level, persist mode). Rows measured on a removed
-// engine path are skipped: the RPO scheduler (sched "rpo", or no sched
-// at all, as in snapshots from before the WTO scheduler) or delta
-// propagation off.
+// time, allocation and peak heap deltas against the current results,
+// matching cells by (bench, level, persist mode). Rows measured on a
+// removed engine path are skipped: the RPO scheduler (sched "rpo", or
+// no sched at all, as in snapshots from before the WTO scheduler) or
+// delta propagation off. A snapshot row without a peak heap prints "-"
+// in that column.
 func printCompare(path string, cur []cellResult) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -470,8 +487,8 @@ func printCompare(path string, cur []cellResult) error {
 		base[key{r.Bench, r.Level, r.Persist}] = r
 	}
 	fmt.Printf("\ncompare vs %s (generated %s)\n", path, old.Generated)
-	fmt.Printf("%-10s %-4s %-7s %-22s %-24s %s\n",
-		"code", "lvl", "persist", "time old->new", "allocs old->new", "speedup")
+	fmt.Printf("%-10s %-4s %-7s %-22s %-24s %-24s %s\n",
+		"code", "lvl", "persist", "time old->new", "allocs old->new", "peak-heap old->new", "speedup")
 	for _, r := range cur {
 		o, ok := base[key{r.Bench, r.Level, r.Persist}]
 		if !ok {
@@ -481,15 +498,22 @@ func printCompare(path string, cur []cellResult) error {
 		if r.MedianNs > 0 {
 			speed = fmt.Sprintf("%.2fx", float64(o.MedianNs)/float64(r.MedianNs))
 		}
-		fmt.Printf("%-10s %-4s %-7s %-22s %-24s %s\n",
+		heap := "-"
+		if o.MedianPeakHeap > 0 {
+			heap = fmtMB(o.MedianPeakHeap) + " -> " + fmtMB(r.MedianPeakHeap)
+		}
+		fmt.Printf("%-10s %-4s %-7s %-22s %-24s %-24s %s\n",
 			r.Bench, r.Level, r.Persist,
 			fmt.Sprintf("%v -> %v", time.Duration(o.MedianNs).Round(time.Millisecond),
 				time.Duration(r.MedianNs).Round(time.Millisecond)),
 			fmt.Sprintf("%s -> %s", fmtCount(o.MedianAllocs), fmtCount(r.MedianAllocs)),
-			speed)
+			heap, speed)
 	}
 	return nil
 }
+
+// fmtMB renders a byte count in MB with one decimal.
+func fmtMB(n uint64) string { return fmt.Sprintf("%.1f MB", float64(n)/(1<<20)) }
 
 // fmtCount renders an object count compactly (1234567 -> "1.23M").
 func fmtCount(n uint64) string {

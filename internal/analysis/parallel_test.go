@@ -4,7 +4,8 @@ package analysis_test
 // determinism property (any worker count produces bit-identical
 // per-statement digests), prompt cancellation of in-flight workers on
 // Timeout/NodeBudget, goroutine hygiene, and the CacheShared overlap
-// flag on the process-global rsg counters.
+// flag on the process-global rsg counters, and a process-global intern
+// table that a finished run leaves as it found it.
 
 import (
 	"errors"
@@ -417,5 +418,43 @@ func TestPerRunCacheStats(t *testing.T) {
 		if res.Stats.SharedTallies && !strings.Contains(res.Stats.CacheSummary(), "shared") {
 			t.Fatalf("run %d: SharedTallies set but CacheSummary lacks the marker", i)
 		}
+	}
+}
+
+// internMissesOfRun runs barneshut L1 and returns only its intern miss
+// count, so the caller holds nothing of the result.
+func internMissesOfRun(t *testing.T) uint64 {
+	prog, _ := compileKernel(t, "barneshut")
+	res, err := analysis.Run(prog, analysis.Options{Level: rsg.L1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Stats.Cache.InternMisses
+}
+
+// TestRunReleasesInternTable checks that a finished run leaves no
+// graphs behind in the process-global intern table: the table holds
+// its entries weakly, so once the result is dropped, collections return
+// it to its size before the run.
+func TestRunReleasesInternTable(t *testing.T) {
+	const slack = 16
+	base := rsg.InternedGraphs()
+	misses := internMissesOfRun(t)
+	if misses < 1000 {
+		t.Fatalf("the run interned only %d graphs", misses)
+	}
+	// Cleanups run asynchronously after the collection that frees their
+	// graphs, so poll.
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		runtime.GC()
+		n := rsg.InternedGraphs()
+		if n <= base+slack {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("intern table holds %d entries after the run, %d before it (%d misses)", n, base, misses)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

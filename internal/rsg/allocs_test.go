@@ -1,6 +1,9 @@
 package rsg
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // Allocation regression guards for the hot kernels on the flat
 // encoding. The ceilings are ~2x the measured counts at the time they
@@ -107,5 +110,32 @@ func TestJoinAllocCeiling(t *testing.T) {
 	// tables and the presized result.
 	if avg > 70 {
 		t.Fatalf("Join of two frozen %d-node graphs: %.1f allocs/op, ceiling 70", g1.NumNodes(), avg)
+	}
+}
+
+func TestInternMissAllocCeiling(t *testing.T) {
+	skipUnderRace(t)
+	const runs = 100
+	// Chains of distinct lengths, so every intern is a miss. A collection
+	// first empties the slots of any earlier run of this test.
+	gs := make([]*Graph, runs+1)
+	for i := range gs {
+		gs[i] = buildChain("miss", 24+i)
+	}
+	runtime.GC()
+	before := ReadCacheStats()
+	i := 0
+	avg := testing.AllocsPerRun(runs, func() {
+		gs[i] = Intern(gs[i])
+		i++
+	})
+	if d := ReadCacheStats().Sub(before); d.InternMisses != runs+1 {
+		t.Fatalf("%d of %d interns missed", d.InternMisses, runs+1)
+	}
+	// Measured 16 allocs/op: the freeze (alias key and SPATH sets), the
+	// weak handle and cleanup (3 of the 16) and the amortized growth of
+	// the shard maps.
+	if avg > 32 {
+		t.Fatalf("Intern miss of a %d-node graph: %.1f allocs/op, ceiling 32", gs[0].NumNodes(), avg)
 	}
 }

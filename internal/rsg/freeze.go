@@ -1,8 +1,10 @@
 package rsg
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
+	"weak"
 )
 
 // This file implements the freeze contract: a Graph can be frozen into
@@ -74,12 +76,6 @@ func DigestEqual(a, b *Graph) bool { return a.Digest() == b.Digest() }
 
 // ---- interning ---------------------------------------------------------
 
-// internCap bounds the global intern table; when a shard fills its
-// share, that shard is reset wholesale (an epoch flip) so memory stays
-// bounded while the steady-state working set of a fixed point keeps
-// hitting.
-const internCap = 1 << 15
-
 // internShards splits the intern table by digest prefix so concurrent
 // workers interning unrelated graphs do not serialize on one mutex.
 // Structurally identical graphs always hash to the same shard (same
@@ -87,14 +83,15 @@ const internCap = 1 << 15
 // therefore global. Must be a power of two.
 const internShards = 64
 
-const internShardCap = internCap / internShards
-
-// shard is one lock-striped slice of the intern table. The padding
-// keeps neighbouring shard locks on distinct cache lines so they do not
-// false-share under contention.
+// shard is one lock-striped slice of the intern table. The table does
+// not own its graphs: each entry is a weak pointer, so a canonical
+// instance lives exactly as long as something outside the table holds
+// it, and a cleanup registered on the graph deletes its entry once it
+// is collected (release). The padding keeps neighbouring shard locks
+// on distinct cache lines so they do not false-share under contention.
 type shard struct {
 	mu  sync.Mutex
-	tab map[Digest]*Graph
+	tab map[Digest]weak.Pointer[Graph]
 	_   [40]byte
 }
 
@@ -105,10 +102,13 @@ func internShard(d Digest) *shard {
 }
 
 // Intern freezes g and returns the canonical instance for its digest:
-// the first graph interned with a given canonical form is returned for
-// every later structurally-identical graph, so signature-identical
-// graphs created independently (e.g. by transfers at different program
-// points) collapse to one shared immutable object.
+// while a graph interned with a given canonical form is alive, it is
+// returned for every later structurally-identical graph, so
+// signature-identical graphs created independently (e.g. by transfers
+// at different program points) collapse to one shared immutable
+// object. Once nothing holds the canonical instance it is collected,
+// and the next graph of that form becomes canonical in its place; its
+// digest is the same, so only pointer identity across the gap changes.
 //
 // The digest is probed before freezing: a duplicate is discarded
 // immediately, so only graphs that become the canonical instance pay
@@ -120,32 +120,74 @@ func internShard(d Digest) *shard {
 // owned by a single goroutine until it is frozen or interned.
 func Intern(g *Graph) *Graph { return InternStats(g, nil) }
 
-// internLocked inserts or retrieves the canonical instance for a frozen
-// graph; the shard mutex must be held. rec, when non-nil, also
-// attributes the hit/miss to one run's RunStats.
-func (s *shard) internLocked(g *Graph, d Digest, rec *RunStats) *Graph {
-	if old, ok := s.tab[d]; ok {
-		if old == g {
-			return g
-		}
+// lookupLocked returns the live canonical instance for d, or nil when
+// the table holds none: never interned, or collected and not yet
+// released. The shard mutex must be held. rec, when non-nil, also
+// attributes a hit to one run's RunStats; finding g itself is no hit.
+func (s *shard) lookupLocked(g *Graph, d Digest, rec *RunStats) *Graph {
+	old := s.tab[d].Value()
+	if old != nil && old != g {
 		cacheStats.internHits.Add(1)
 		rec.addInternHit()
-		return old
 	}
-	if s.tab == nil || len(s.tab) >= internShardCap {
-		s.tab = make(map[Digest]*Graph, 64)
+	return old
+}
+
+// insertLocked makes the frozen graph g the canonical instance for d
+// and counts a miss; the shard mutex must be held and the slot must
+// hold no live instance.
+func (s *shard) insertLocked(g *Graph, d Digest, rec *RunStats) {
+	if s.tab == nil {
+		s.tab = make(map[Digest]weak.Pointer[Graph], 64)
 	}
-	s.tab[d] = g
+	wp := weak.Make(g)
+	s.tab[d] = wp
+	// Neither the function nor its argument may reach g, or g would
+	// never be collected.
+	runtime.AddCleanup(g, release, internRef{d: d, wp: wp})
 	cacheStats.internMisses.Add(1)
 	rec.addInternMiss()
-	return g
+}
+
+// internRef names one intern table entry: the digest slot and the weak
+// pointer it was filled with.
+type internRef struct {
+	d  Digest
+	wp weak.Pointer[Graph]
+}
+
+// release is the cleanup of a collected canonical instance. It deletes
+// the entry only while the slot still holds that instance's pointer: a
+// later graph of the same form may have become canonical in between.
+func release(r internRef) {
+	s := internShard(r.d)
+	s.mu.Lock()
+	if s.tab[r.d] == r.wp {
+		delete(s.tab, r.d)
+	}
+	s.mu.Unlock()
+}
+
+// InternedGraphs returns the number of entries in the intern table,
+// summed over the shards. Entries of collected graphs count until their
+// cleanup has run.
+func InternedGraphs() int {
+	n := 0
+	for i := range internTab {
+		s := &internTab[i]
+		s.mu.Lock()
+		n += len(s.tab)
+		s.mu.Unlock()
+	}
+	return n
 }
 
 // ---- observability counters -------------------------------------------
 
 // CacheStats is a snapshot of the package-global digest/freeze/intern
 // counters. The counters only ever grow; subtract two snapshots (Sub)
-// to attribute activity to one analysis run.
+// to attribute activity to one analysis run. The intern table's current
+// size is not a counter; InternedGraphs reports it.
 type CacheStats struct {
 	// GraphsFrozen counts Graph.Freeze calls that froze a graph.
 	GraphsFrozen uint64
@@ -154,8 +196,11 @@ type CacheStats struct {
 	DigestsComputed uint64
 	// DigestCacheHits counts Digest calls served from the frozen cache.
 	DigestCacheHits uint64
-	// InternHits counts Intern calls that returned an existing canonical
-	// instance; InternMisses counts first-time interns.
+	// InternHits counts Intern calls that returned a live canonical
+	// instance. InternMisses counts Intern calls that made their graph
+	// canonical: first-time interns, and re-interns of a form whose
+	// canonical instance was collected (the table holds its graphs
+	// weakly), so a form can miss more than once.
 	InternHits   uint64
 	InternMisses uint64
 	// PoolGets counts scratch-buffer checkouts from the canon/kernel

@@ -2,9 +2,11 @@ package rsg
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // mustPanic runs f and reports an error unless it panics.
@@ -156,6 +158,87 @@ func TestInternReturnsCanonicalInstance(t *testing.T) {
 	if Intern(c) == ia {
 		t.Fatal("structurally different graphs must not intern to the same instance")
 	}
+}
+
+// internedLive reports whether the intern table holds a live canonical
+// instance for d.
+func internedLive(d Digest) bool {
+	s := internShard(d)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.tab[d].Value() != nil
+}
+
+// internedSlot reports whether the intern table has an entry for d,
+// live or not yet released.
+func internedSlot(d Digest) bool {
+	s := internShard(d)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.tab[d]
+	return ok
+}
+
+// internChains interns n chains that differ in length, checks that
+// each is the live canonical instance while it is held, and returns
+// their digests only, so nothing keeps the instances alive afterwards.
+func internChains(t *testing.T, n int) []Digest {
+	t.Helper()
+	gs := make([]*Graph, n)
+	for i := range gs {
+		gs[i] = Intern(buildChain("released", i+1))
+	}
+	digs := make([]Digest, n)
+	for i, g := range gs {
+		digs[i] = g.Digest()
+		if !internedLive(digs[i]) {
+			t.Fatalf("chain %d: not the live canonical instance right after Intern", i)
+		}
+	}
+	return digs
+}
+
+// TestInternReleasesCollected checks that the intern table does not own
+// its graphs: once nothing else holds the canonical instances, a
+// collection empties their slots and the table returns to its size
+// before they were interned. Re-interning one of those shapes makes a
+// fresh canonical instance with the same digest and counts a miss.
+func TestInternReleasesCollected(t *testing.T) {
+	base := InternedGraphs()
+	digs := internChains(t, 64)
+	// Cleanups run asynchronously after the collection that frees their
+	// graphs, so poll.
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		runtime.GC()
+		left := 0
+		for _, d := range digs {
+			if internedSlot(d) {
+				left++
+			}
+		}
+		if left == 0 && InternedGraphs() <= base {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after dropping the graphs: %d of %d entries left, table %d > %d before",
+				left, len(digs), InternedGraphs(), base)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	rec := &RunStats{}
+	g := InternStats(buildChain("released", 1), rec)
+	if !g.Frozen() || g.Digest() != digs[0] {
+		t.Fatalf("re-interned chain: frozen %v, digest %s, want %s", g.Frozen(), g.Digest(), digs[0])
+	}
+	if st := rec.Snapshot(); st.InternMisses != 1 || st.InternHits != 0 {
+		t.Fatalf("re-intern after collection: %d misses, %d hits, want 1 and 0", st.InternMisses, st.InternHits)
+	}
+	if !internedLive(digs[0]) {
+		t.Fatal("re-interned chain is not the live canonical instance")
+	}
+	runtime.KeepAlive(g)
 }
 
 func TestHashMatchesDigestHex(t *testing.T) {

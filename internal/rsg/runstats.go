@@ -86,21 +86,19 @@ func (g *Graph) DigestStats(rec *RunStats) Digest {
 // computation, freeze, and intern hit/miss are recorded into rec as
 // well as the global counters. A nil rec makes it identical to Intern.
 func InternStats(g *Graph, rec *RunStats) *Graph {
-	if g.frozen {
-		s := internShard(g.digest)
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.internLocked(g, g.digest, rec)
+	d := g.digest
+	if !g.frozen {
+		d = g.DigestStats(rec)
 	}
-	d := g.DigestStats(rec)
 	s := internShard(d)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if old, ok := s.tab[d]; ok {
-		cacheStats.internHits.Add(1)
-		rec.addInternHit()
+	if old := s.lookupLocked(g, d, rec); old != nil {
 		return old
 	}
-	g.freezeWithDigest(d, rec)
-	return s.internLocked(g, d, rec)
+	if !g.frozen {
+		g.freezeWithDigest(d, rec)
+	}
+	s.insertLocked(g, d, rec)
+	return g
 }

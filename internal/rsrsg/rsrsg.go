@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"weak"
 
 	"repro/internal/rsg"
 )
@@ -54,22 +55,36 @@ type joinKey struct {
 // and a racing duplicate computation is harmless — both sides intern to
 // the same canonical graph. Callers without a cache (a plain Reduce)
 // recompute from scratch.
+//
+// Like the intern table, the cache does not own the graphs it returns:
+// a join result is held weakly, so one that no set holds any more is
+// collected, and a later hit on its key recomputes it (see joinedEntry).
 type JoinCache struct {
 	mu     sync.Mutex
 	compat map[joinKey]bool
-	joined map[joinKey]entry
+	joined map[joinKey]joinedEntry
+}
+
+// joinedEntry is one cached join result: the graph, held weakly, and
+// the keys newEntry derived from it. Recomputing a collected graph
+// yields the same digest and alias key, because JOIN+COMPRESS is pure.
+type joinedEntry struct {
+	g     weak.Pointer[rsg.Graph]
+	dig   rsg.Digest
+	alias string
 }
 
 // joinCacheCap bounds each of the cache's maps; a map that reaches the
-// cap is reset wholesale, like the intern table — entries are
-// pure-function results, so eviction only costs recomputation.
+// cap is reset wholesale — entries are pure-function results, so
+// eviction only costs recomputation. Entries of collected join results
+// still hold their keys, so the joined map needs the cap too.
 const joinCacheCap = 1 << 15
 
 // NewJoinCache returns an empty join cache for sharing across Accums.
 func NewJoinCache() *JoinCache {
 	return &JoinCache{
 		compat: make(map[joinKey]bool),
-		joined: make(map[joinKey]entry),
+		joined: make(map[joinKey]joinedEntry),
 	}
 }
 
@@ -101,15 +116,16 @@ func (c *JoinCache) compatible(lvl rsg.Level, a, b entry) bool {
 // join is JOIN+COMPRESS in interned entry form through the cache; a nil
 // receiver recomputes. rec attributes a cache miss's intern work to the
 // calling run; a cache hit touches no counters (the entry's keys were
-// computed when it was first joined).
+// computed when it was first joined). A hit whose graph was collected
+// is a miss.
 func (c *JoinCache) join(lvl rsg.Level, a, b entry, rec *rsg.RunStats) entry {
 	k := joinKey{lvl: lvl, a: a.dig, b: b.dig}
 	if c != nil {
 		c.mu.Lock()
-		e, ok := c.joined[k]
+		je := c.joined[k]
 		c.mu.Unlock()
-		if ok {
-			return e
+		if g := je.g.Value(); g != nil {
+			return entry{g: g, dig: je.dig, alias: je.alias}
 		}
 	}
 	merged := rsg.Join(lvl, a.g, b.g)
@@ -118,9 +134,9 @@ func (c *JoinCache) join(lvl rsg.Level, a, b entry, rec *rsg.RunStats) entry {
 	if c != nil {
 		c.mu.Lock()
 		if len(c.joined) >= joinCacheCap {
-			c.joined = make(map[joinKey]entry, 64)
+			c.joined = make(map[joinKey]joinedEntry, 64)
 		}
-		c.joined[k] = e
+		c.joined[k] = joinedEntry{g: weak.Make(e.g), dig: e.dig, alias: e.alias}
 		c.mu.Unlock()
 	}
 	return e

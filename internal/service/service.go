@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/rsg"
 	"repro/internal/store"
 )
 
@@ -297,17 +298,20 @@ type AnalysisTotals struct {
 	InternMisses    int64 `json:"intern_misses"`
 }
 
-// StatsResponse is the GET /stats payload.
+// StatsResponse is the GET /stats payload. InternedGraphs is a gauge,
+// not a total: the entries in the process-global rsg intern table now
+// (rsg.InternedGraphs).
 type StatsResponse struct {
-	UptimeUS  int64                    `json:"uptime_us"`
-	Workers   int                      `json:"workers"`
-	Queue     int                      `json:"queue"`
-	InFlight  int64                    `json:"in_flight"`
-	QueuedNow int64                    `json:"queued_now"`
-	Store     *StoreStats              `json:"store,omitempty"`
-	Analysis  AnalysisTotals           `json:"analysis"`
-	Programs  ProgramStats             `json:"programs"`
-	Endpoints map[string]EndpointStats `json:"endpoints"`
+	UptimeUS       int64                    `json:"uptime_us"`
+	Workers        int                      `json:"workers"`
+	Queue          int                      `json:"queue"`
+	InFlight       int64                    `json:"in_flight"`
+	QueuedNow      int64                    `json:"queued_now"`
+	InternedGraphs int                      `json:"interned_graphs"`
+	Store          *StoreStats              `json:"store,omitempty"`
+	Analysis       AnalysisTotals           `json:"analysis"`
+	Programs       ProgramStats             `json:"programs"`
+	Endpoints      map[string]EndpointStats `json:"endpoints"`
 }
 
 func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -316,11 +320,12 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := StatsResponse{
-		UptimeUS:  time.Since(s.start).Microseconds(),
-		Workers:   s.cfg.Workers,
-		Queue:     s.cfg.Queue,
-		InFlight:  s.inFlight.Load(),
-		QueuedNow: s.queuedNow.Load(),
+		UptimeUS:       time.Since(s.start).Microseconds(),
+		Workers:        s.cfg.Workers,
+		Queue:          s.cfg.Queue,
+		InFlight:       s.inFlight.Load(),
+		QueuedNow:      s.queuedNow.Load(),
+		InternedGraphs: rsg.InternedGraphs(),
 		Analysis: AnalysisTotals{
 			Runs:            s.agg.runs.Load(),
 			Visits:          s.agg.visits.Load(),

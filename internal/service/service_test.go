@@ -293,11 +293,11 @@ func TestTimeoutReturns504WhileOthersComplete(t *testing.T) {
 }
 
 // TestStatsEndpoint checks that /stats surfaces the store counts, the
-// aggregate engine counters, the compiled-program cache counters and
-// the per-endpoint blocks after traffic: a cold /analyze of matvec, an
-// edited re-run of the same name, which reseeds the edit's cone and
-// serves part of it from the store's transfer memo, and a repeat of the
-// edit, which reuses its compiled program.
+// aggregate engine counters, the compiled-program cache counters, the
+// intern table gauge and the per-endpoint blocks after traffic: a cold
+// /analyze of matvec, an edited re-run of the same name, which reseeds
+// the edit's cone and serves part of it from the store's transfer memo,
+// and a repeat of the edit, which reuses its compiled program.
 func TestStatsEndpoint(t *testing.T) {
 	srv, _ := newServer(t, service.Config{Workers: 2})
 
@@ -342,6 +342,20 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if stats.UptimeUS <= 0 {
 		t.Errorf("uptime not positive: %d", stats.UptimeUS)
+	}
+
+	r, err := http.Get(srv.URL + "/stats")
+	if err != nil {
+		t.Fatalf("GET /stats: %v", err)
+	}
+	defer r.Body.Close()
+	var top map[string]json.RawMessage
+	if err := json.NewDecoder(r.Body).Decode(&top); err != nil {
+		t.Fatalf("decode stats: %v", err)
+	}
+	var interned int
+	if err := json.Unmarshal(top["interned_graphs"], &interned); err != nil || interned < 0 {
+		t.Errorf("interned_graphs gauge missing or not a count: %s (%v)", top["interned_graphs"], err)
 	}
 }
 
