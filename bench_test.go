@@ -14,9 +14,6 @@
 //     pipeline step (divide -> prune -> interpret -> compress -> union).
 //   - BenchmarkFigure3BarnesHut measures the Sect. 5.1 progressive
 //     analysis of the Barnes-Hut kernel.
-//   - BenchmarkAblation* quantify the design choices DESIGN.md calls
-//     out: RSG union on/off, cycle-link pruning on/off, per-statement
-//     compression on/off, TOUCH restricted to induction pvars vs all.
 //
 // Measured values for the full runs are recorded in EXPERIMENTS.md.
 package repro_test
@@ -234,45 +231,6 @@ func BenchmarkFigure3BarnesHut(b *testing.B) {
 			b.Fatal("no final level")
 		}
 	}
-}
-
-// ---- Ablations ----------------------------------------------------------
-
-func BenchmarkAblationBaseline(b *testing.B) {
-	benchKernel(b, "slist", rsg.L1, analysis.Options{})
-}
-
-// BenchmarkAblationNoJoin disables the RSG union; the paper credits the
-// union with keeping the RSRSGs small ("greatly reduces the number of
-// RSGs and leads to a practicable analysis").
-func BenchmarkAblationNoJoin(b *testing.B) {
-	benchKernel(b, "slist", rsg.L1, analysis.Options{DisableJoin: true, MaxVisits: benchVisits})
-}
-
-// BenchmarkAblationNoCyclePrune disables the NL_PRUNE cycle-link rule;
-// the paper credits pruning for the Barnes-Hut L2 < L1 cost paradox.
-func BenchmarkAblationNoCyclePrune(b *testing.B) {
-	benchKernel(b, "dlist", rsg.L1, analysis.Options{DisableCyclePrune: true, MaxVisits: benchVisits})
-}
-
-func BenchmarkAblationCyclePruneBaseline(b *testing.B) {
-	benchKernel(b, "dlist", rsg.L1, analysis.Options{MaxVisits: benchVisits})
-}
-
-// BenchmarkAblationNoCompress skips the per-statement COMPRESS phase.
-func BenchmarkAblationNoCompress(b *testing.B) {
-	benchKernel(b, "slist", rsg.L1, analysis.Options{NoCompress: true, MaxVisits: benchVisits})
-}
-
-// BenchmarkAblationTouchAllPvars widens TOUCH to every pvar at L3; the
-// paper restricts TOUCH to induction pvars "to avoid the explosion in
-// the number of nodes".
-func BenchmarkAblationTouchAllPvars(b *testing.B) {
-	benchKernel(b, "slist", rsg.L3, analysis.Options{TouchAllPvars: true, MaxVisits: benchVisits})
-}
-
-func BenchmarkAblationTouchInductionOnly(b *testing.B) {
-	benchKernel(b, "slist", rsg.L3, analysis.Options{MaxVisits: benchVisits})
 }
 
 // ---- Parallel engine scaling -------------------------------------------

@@ -36,56 +36,10 @@ type Context struct {
 	// Induction holds the induction pvars of the enclosing loops; only
 	// these are eligible for TOUCH sets.
 	Induction rsg.PvarSet
-	// Diags accumulates analysis diagnostics; may be nil. The counters
-	// reflect first computations: the engine steps each graph once per
-	// statement, and persistent-store memo hits do not recount.
-	Diags *Diagnostics
-	// DisableCyclePrune turns the NL_PRUNE cycle-link rule off; only the
-	// ablation benchmarks set it.
-	DisableCyclePrune bool
-	// NoCompress skips per-statement compression; only the ablation
-	// benchmarks set it.
-	NoCompress bool
-}
-
-// Diagnostics counts noteworthy abstract events.
-type Diagnostics struct {
-	// NullDerefs counts graph branches dropped because a dereferenced
-	// pvar could be NULL.
-	NullDerefs int
-	// InfeasibleBranches counts division branches discarded by PRUNE.
-	InfeasibleBranches int
-	// Materializations counts summary-node focus operations.
-	Materializations int
-	// Joins counts RSG unions performed during reduction.
-	Joins int
-	// Compressions counts node merges performed by COMPRESS.
-	Compressions int
-}
-
-// Add accumulates o's counters into d. The parallel engine gives each
-// transfer worker a private Diagnostics and folds them back through
-// Add in job order, so the totals match a sequential run.
-func (d *Diagnostics) Add(o Diagnostics) {
-	d.NullDerefs += o.NullDerefs
-	d.InfeasibleBranches += o.InfeasibleBranches
-	d.Materializations += o.Materializations
-	d.Joins += o.Joins
-	d.Compressions += o.Compressions
 }
 
 func (c *Context) touchEligibleSym(x rsg.Sym) bool {
 	return c.Level.UseTouch() && c.InLoop && c.Induction.HasSym(x)
-}
-
-func (c *Context) compress(g *rsg.Graph) {
-	if c.NoCompress {
-		return
-	}
-	n := rsg.Compress(g, c.Level)
-	if c.Diags != nil {
-		c.Diags.Compressions += n
-	}
 }
 
 func (c *Context) reduce(graphs []*rsg.Graph) *rsrsg.Set {
@@ -93,10 +47,7 @@ func (c *Context) reduce(graphs []*rsg.Graph) *rsrsg.Set {
 	for _, g := range graphs {
 		out.AddStats(g, c.Opts.Stats)
 	}
-	joins := out.Reduce(c.Level, c.Opts)
-	if c.Diags != nil {
-		c.Diags.Joins += joins
-	}
+	out.Reduce(c.Level, c.Opts)
 	return out
 }
 
@@ -151,60 +102,4 @@ func EraseTouch(ctx *Context, in *rsrsg.Set, ipvars rsg.PvarSet) *rsrsg.Set {
 		return in.Clone()
 	}
 	return mapStep(ctx, in, func(g *rsg.Graph) []*rsg.Graph { return StepEraseTouch(ctx, g, ipvars) })
-}
-
-func divide(ctx *Context, g *rsg.Graph, x, sel rsg.Sym) []rsg.Division {
-	divs := rsg.DivideSym(g, x, sel)
-	if ctx.Diags != nil {
-		// Count branches the division pruned away as infeasible.
-		n := g.PvarTargetSym(x)
-		want := len(g.TargetsSym(n.ID, sel))
-		if !n.SelOut.HasSym(sel) {
-			want++
-		}
-		if d := want - len(divs); d > 0 {
-			ctx.Diags.InfeasibleBranches += d
-		}
-	}
-	return divs
-}
-
-func materialize(ctx *Context, g *rsg.Graph, src rsg.NodeID, sel rsg.Sym) rsg.NodeID {
-	targets := g.TargetsSym(src, sel)
-	if len(targets) == 1 {
-		if t := g.Node(targets[0]); t != nil && !t.Singleton {
-			if ctx.Diags != nil {
-				ctx.Diags.Materializations++
-			}
-		}
-	}
-	return rsg.MaterializeSym(g, src, sel)
-}
-
-func prune(ctx *Context, g *rsg.Graph) bool {
-	if ctx.DisableCyclePrune {
-		return pruneWithoutCycles(g)
-	}
-	ok := rsg.Prune(g)
-	if !ok && ctx.Diags != nil {
-		ctx.Diags.InfeasibleBranches++
-	}
-	return ok
-}
-
-// pruneWithoutCycles is the ablation variant: it blanks the CYCLELINKS
-// sets so NL_PRUNE never fires, then restores them.
-func pruneWithoutCycles(g *rsg.Graph) bool {
-	saved := make(map[rsg.NodeID]rsg.CycleSet)
-	for _, n := range g.Nodes() {
-		saved[n.ID] = n.Cycle
-		n.Cycle = rsg.NewCycleSet()
-	}
-	ok := rsg.Prune(g)
-	for _, n := range g.Nodes() {
-		if c, found := saved[n.ID]; found {
-			n.Cycle = c
-		}
-	}
-	return ok
 }

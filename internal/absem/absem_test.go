@@ -8,7 +8,7 @@ import (
 )
 
 func ctx(lvl rsg.Level) *Context {
-	return &Context{Level: lvl, Diags: &Diagnostics{}}
+	return &Context{Level: lvl}
 }
 
 func single(g *rsg.Graph) *rsrsg.Set {
@@ -176,9 +176,6 @@ func TestNullDereferenceDropsGraph(t *testing.T) {
 	s2 := XSelNil(c, s, "a", "nxt") // a is NULL
 	if s2.Len() != 0 {
 		t.Fatalf("dereferencing NULL must produce no successor configuration")
-	}
-	if c.Diags.NullDerefs != 1 {
-		t.Errorf("NullDerefs = %d, want 1", c.Diags.NullDerefs)
 	}
 }
 

@@ -153,8 +153,7 @@ func TestStepFunctionsShareUnchangedGraphs(t *testing.T) {
 }
 
 func TestStepDereferenceNullReturnsNil(t *testing.T) {
-	d := &Diagnostics{}
-	ctx := &Context{Level: rsg.L1, Diags: d}
+	ctx := &Context{Level: rsg.L1}
 	g := rsg.NewGraph()
 	if out := StepSelNil(ctx, g, "x", "s"); out != nil {
 		t.Error("StepSelNil through NULL must produce no successors")
@@ -164,9 +163,6 @@ func TestStepDereferenceNullReturnsNil(t *testing.T) {
 	}
 	if out := StepLoad(ctx, g, "x", "y", "s"); out != nil {
 		t.Error("StepLoad through NULL must produce no successors")
-	}
-	if d.NullDerefs != 3 {
-		t.Errorf("NullDerefs = %d, want 3", d.NullDerefs)
 	}
 }
 

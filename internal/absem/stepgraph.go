@@ -25,7 +25,7 @@ func StepNilSym(ctx *Context, g *rsg.Graph, x rsg.Sym) []*rsg.Graph {
 	g2 := g.Clone()
 	g2.ClearPvarSym(x)
 	g2.CollectGarbage()
-	ctx.compress(g2)
+	rsg.Compress(g2, ctx.Level)
 	return []*rsg.Graph{g2}
 }
 
@@ -43,7 +43,7 @@ func StepMallocSym(ctx *Context, g *rsg.Graph, x, typ rsg.Sym) []*rsg.Graph {
 	n.Singleton = true
 	g2.AddNode(n)
 	g2.SetPvarSym(x, n.ID)
-	ctx.compress(g2)
+	rsg.Compress(g2, ctx.Level)
 	return []*rsg.Graph{g2}
 }
 
@@ -70,7 +70,7 @@ func StepCopySym(ctx *Context, g *rsg.Graph, x, y rsg.Sym) []*rsg.Graph {
 		}
 	}
 	g2.CollectGarbage()
-	ctx.compress(g2)
+	rsg.Compress(g2, ctx.Level)
 	return []*rsg.Graph{g2}
 }
 
@@ -84,24 +84,21 @@ func StepSelNil(ctx *Context, g *rsg.Graph, x, sel string) []*rsg.Graph {
 // StepSelNilSym is StepSelNil addressed by interned pvar and selector.
 func StepSelNilSym(ctx *Context, g *rsg.Graph, x, sel rsg.Sym) []*rsg.Graph {
 	if g.PvarTargetSym(x) == nil {
-		if ctx.Diags != nil {
-			ctx.Diags.NullDerefs++
-		}
 		return nil
 	}
 	var out []*rsg.Graph
-	for _, div := range divide(ctx, g, x, sel) {
+	for _, div := range rsg.DivideSym(g, x, sel) {
 		g2 := div.G
 		if div.Target >= 0 {
 			src := g2.PvarTargetSym(x)
-			nm := materialize(ctx, g2, src.ID, sel)
+			nm := rsg.MaterializeSym(g2, src.ID, sel)
 			unlinkSym(g2, src.ID, sel, nm)
 		}
-		if !prune(ctx, g2) {
+		if !rsg.Prune(g2) {
 			continue
 		}
 		g2.CollectGarbage()
-		ctx.compress(g2)
+		rsg.Compress(g2, ctx.Level)
 		out = append(out, g2)
 	}
 	return out
@@ -115,27 +112,24 @@ func StepSelCopy(ctx *Context, g *rsg.Graph, x, sel, y string) []*rsg.Graph {
 // StepSelCopySym is StepSelCopy addressed by interned symbols.
 func StepSelCopySym(ctx *Context, g *rsg.Graph, x, sel, y rsg.Sym) []*rsg.Graph {
 	if g.PvarTargetSym(x) == nil {
-		if ctx.Diags != nil {
-			ctx.Diags.NullDerefs++
-		}
 		return nil
 	}
 	var out []*rsg.Graph
-	for _, div := range divide(ctx, g, x, sel) {
+	for _, div := range rsg.DivideSym(g, x, sel) {
 		g2 := div.G
 		src := g2.PvarTargetSym(x)
 		if div.Target >= 0 {
-			nm := materialize(ctx, g2, src.ID, sel)
+			nm := rsg.MaterializeSym(g2, src.ID, sel)
 			unlinkSym(g2, src.ID, sel, nm)
 		}
 		if yt := g2.PvarTargetSym(y); yt != nil {
 			linkSym(g2, src.ID, sel, yt.ID)
 		}
-		if !prune(ctx, g2) {
+		if !rsg.Prune(g2) {
 			continue
 		}
 		g2.CollectGarbage()
-		ctx.compress(g2)
+		rsg.Compress(g2, ctx.Level)
 		out = append(out, g2)
 	}
 	return out
@@ -149,30 +143,27 @@ func StepLoad(ctx *Context, g *rsg.Graph, x, y, sel string) []*rsg.Graph {
 // StepLoadSym is StepLoad addressed by interned symbols.
 func StepLoadSym(ctx *Context, g *rsg.Graph, x, y, sel rsg.Sym) []*rsg.Graph {
 	if g.PvarTargetSym(y) == nil {
-		if ctx.Diags != nil {
-			ctx.Diags.NullDerefs++
-		}
 		return nil
 	}
 	var out []*rsg.Graph
-	for _, div := range divide(ctx, g, y, sel) {
+	for _, div := range rsg.DivideSym(g, y, sel) {
 		g2 := div.G
 		if div.Target < 0 {
 			g2.ClearPvarSym(x)
 		} else {
 			src := g2.PvarTargetSym(y)
-			nm := materialize(ctx, g2, src.ID, sel)
+			nm := rsg.MaterializeSym(g2, src.ID, sel)
 			g2.ClearPvarSym(x)
 			g2.SetPvarSym(x, nm)
 			if ctx.touchEligibleSym(x) {
 				g2.Node(nm).Touch.AddSym(x)
 			}
 		}
-		if !prune(ctx, g2) {
+		if !rsg.Prune(g2) {
 			continue
 		}
 		g2.CollectGarbage()
-		ctx.compress(g2)
+		rsg.Compress(g2, ctx.Level)
 		out = append(out, g2)
 	}
 	return out
@@ -198,6 +189,6 @@ func StepEraseTouch(ctx *Context, g *rsg.Graph, ipvars rsg.PvarSet) []*rsg.Graph
 	for _, n := range g2.Nodes() {
 		n.Touch = n.Touch.Minus(ipvars)
 	}
-	ctx.compress(g2)
+	rsg.Compress(g2, ctx.Level)
 	return []*rsg.Graph{g2}
 }

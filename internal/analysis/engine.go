@@ -31,14 +31,6 @@ type Options struct {
 	// ErrBudgetExceeded. It models the paper's 128 MB machine on which
 	// the Sparse LU analysis runs out of memory at L2/L3. 0 = unlimited.
 	NodeBudget int
-	// DisableJoin, DisableCyclePrune and NoCompress are ablation knobs
-	// (see DESIGN.md).
-	DisableJoin       bool
-	DisableCyclePrune bool
-	NoCompress        bool
-	// TouchAllPvars widens TOUCH eligibility from induction pvars to
-	// every pvar (ablation of the paper's restriction).
-	TouchAllPvars bool
 	// Timeout aborts the run with ErrTimeout when the fixed point takes
 	// longer than this wall-clock duration. 0 = no limit.
 	Timeout time.Duration
@@ -253,9 +245,7 @@ type Result struct {
 	Program *ir.Program
 	Level   rsg.Level
 	// Out maps every statement ID to the RSRSG after its execution.
-	Out map[int]*rsrsg.Set
-	// Diags aggregates the abstract-semantics diagnostics.
-	Diags absem.Diagnostics
+	Out   map[int]*rsrsg.Set
 	Stats Stats
 }
 
@@ -402,25 +392,15 @@ func Run(prog *ir.Program, opts Options) (*Result, error) {
 
 		stmt := prog.Stmt(id)
 		ctx := &absem.Context{
-			Level:             opts.Level,
-			Opts:              reduceOpts,
-			InLoop:            prog.InLoop(id),
-			Diags:             &res.Diags,
-			DisableCyclePrune: opts.DisableCyclePrune,
-			NoCompress:        opts.NoCompress,
+			Level:     opts.Level,
+			Opts:      reduceOpts,
+			InLoop:    prog.InLoop(id),
+			Induction: rsg.NewPvarSet(),
 		}
 		if opts.Level.UseTouch() {
-			if opts.TouchAllPvars {
-				ctx.Induction = allPvars(prog)
-			} else {
-				ind := rsg.NewPvarSet()
-				for p := range prog.InductionFor(id) {
-					ind.Add(p)
-				}
-				ctx.Induction = ind
+			for p := range prog.InductionFor(id) {
+				ctx.Induction.Add(p)
 			}
-		} else {
-			ctx.Induction = rsg.NewPvarSet()
 		}
 
 		// in-states accumulate monotonically: every predecessor's current
@@ -450,7 +430,7 @@ func Run(prog *ir.Program, opts Options) (*Result, error) {
 			}
 			contribution := po
 			if opts.Level.UseTouch() {
-				if erase := exitedInduction(prog, pred, id, opts.TouchAllPvars); !erase.Empty() {
+				if erase := exitedInduction(prog, pred, id); !erase.Empty() {
 					// TOUCH erasure rewrites the predecessor's contribution
 					// before it is merged, so the in-state delta below sees
 					// erased graphs like any others (DESIGN.md §8). The erase
@@ -507,24 +487,11 @@ func eraseEdgeKey(pred, id int) uint64 {
 	return uint64(uint32(pred))<<32 | uint64(uint32(id))
 }
 
-func allPvars(prog *ir.Program) rsg.PvarSet {
-	s := rsg.NewPvarSet()
-	for p := range prog.PtrVars {
-		s.Add(p)
-	}
-	return s
-}
-
 // exitedInduction returns the induction pvars of the loops left by the
 // edge pred -> id.
-func exitedInduction(prog *ir.Program, pred, id int, all bool) rsg.PvarSet {
-	loops := prog.LoopsExited(pred, id)
+func exitedInduction(prog *ir.Program, pred, id int) rsg.PvarSet {
 	out := rsg.NewPvarSet()
-	for _, l := range loops {
-		if all {
-			// Ablation: every pvar was TOUCH-eligible; erase all on exit.
-			return allPvars(prog)
-		}
+	for _, l := range prog.LoopsExited(pred, id) {
 		for p := range l.Induction {
 			out.Add(p)
 		}

@@ -27,10 +27,9 @@ import (
 //      Accum), reached through the rsrsg.Options.Exec hook.
 //
 // Determinism is by construction, not by luck: every parallel unit
-// writes to a pre-assigned slot, results are joined in the same
+// writes to a pre-assigned slot, and results are joined in the same
 // canonical order the sequential engine uses (input-entry order for
-// transfers, sorted alias-key order for buckets), and per-worker
-// diagnostics are folded back in job-index order. Workers=1 and
+// transfers, sorted alias-key order for buckets). Workers=1 and
 // Workers=N therefore produce bit-identical per-statement digests.
 
 // parallelFanoutMin is the minimum number of graphs to step at one
@@ -132,9 +131,8 @@ func newEngineRun(opts Options, start time.Time) *engineRun {
 		}
 	}
 	e.reduceOpts = rsrsg.Options{
-		DisableJoin: opts.DisableJoin,
-		Joins:       rsrsg.NewJoinCache(),
-		Stats:       e.rec,
+		Joins: rsrsg.NewJoinCache(),
+		Stats: e.rec,
 	}
 	if workers > 1 {
 		e.reduceOpts.Exec = e.exec
@@ -259,10 +257,9 @@ func (e *engineRun) transferDelta(ctx *absem.Context, s *ir.Stmt, in *rsrsg.Set,
 // probes the store's transfer-memo tier. The remaining steps are
 // dispatched over the worker pool when there are enough of them. Each
 // job steps one graph through the abstract semantics into its
-// pre-assigned slot with a private diagnostics block and no nested
-// executor; the coordinator then folds diagnostics and store
-// write-throughs back in input order, so the parts (and everything
-// joined from them) are worker-count independent.
+// pre-assigned slot with no nested executor; the coordinator then
+// writes the store write-throughs in input order, so the parts (and
+// everything joined from them) are worker-count independent.
 func (e *engineRun) partsFor(ctx *absem.Context, s *ir.Stmt, graphs []*rsg.Graph) ([]*rsrsg.Set, error) {
 	type job struct {
 		g    *rsg.Graph
@@ -288,28 +285,19 @@ func (e *engineRun) partsFor(ctx *absem.Context, s *ir.Stmt, graphs []*rsg.Graph
 	if e.workers > 1 && len(jobs) >= parallelFanoutMin {
 		e.parallelTransfers.Add(1)
 		e.parallelJobs.Add(int64(len(jobs)))
-		diags := make([]absem.Diagnostics, len(jobs))
+		// The workers share one copy of the context without the
+		// executor, so they never nest parallelism; nothing in the
+		// context is written during a transfer.
+		jctx := *ctx
+		jctx.Opts.Exec = nil
 		e.runParallel(len(jobs), func(i int) {
 			if e.ctx.Err() != nil {
 				return
 			}
-			// Each worker gets a private shallow copy of the
-			// context: its own diagnostics block (folded back in
-			// index order below) and no executor, so workers never
-			// nest parallelism. Everything else in the context is
-			// read-only during a transfer.
-			jctx := *ctx
-			jctx.Diags = &diags[i]
-			jctx.Opts.Exec = nil
 			parts[jobs[i].slot] = stepGraphSet(&jctx, s, jobs[i].g)
 		})
 		if e.ctx.Err() != nil {
 			return nil, e.cancelErr()
-		}
-		if ctx.Diags != nil {
-			for i := range diags {
-				ctx.Diags.Add(diags[i])
-			}
 		}
 	} else {
 		for _, j := range jobs {

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/fnv"
-	"sort"
 
 	"repro/internal/ir"
 	"repro/internal/rsg"
@@ -45,8 +44,11 @@ import (
 // RPO widening cap left the fingerprint. Schema 4: the legacy soundness
 // replay left the options, and the per-statement graph bound became a
 // constant. Schema 5: the graph bound and loop-head widening were
-// deleted, and both constants left the fingerprint.
-const persistSchema = 5
+// deleted, and both constants left the fingerprint. Schema 6: the four
+// ablation switches (join, cycle pruning, compression, TOUCH on every
+// pvar) were deleted, leaving the level as the only fingerprinted
+// option.
+const persistSchema = 6
 
 type persistMode int
 
@@ -77,10 +79,10 @@ type persistPlan struct {
 }
 
 // optionsFingerprint hashes every option that changes analysis
-// *results*: level and the reduction knobs. Budgets (MaxVisits,
-// NodeBudget, Timeout) are deliberately excluded and handled by the
-// snapshot eligibility rules; Workers is excluded because any setting
-// produces bit-identical digests (DESIGN.md §7).
+// *results*: the schema and the level. Budgets (MaxVisits, NodeBudget,
+// Timeout) are deliberately excluded and handled by the snapshot
+// eligibility rules; Workers is excluded because any setting produces
+// bit-identical digests (DESIGN.md §7).
 func optionsFingerprint(opts Options) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -88,40 +90,15 @@ func optionsFingerprint(opts Options) uint64 {
 		binary.LittleEndian.PutUint64(buf[:], v)
 		h.Write(buf[:])
 	}
-	putBool := func(b bool) {
-		if b {
-			put(1)
-		} else {
-			put(0)
-		}
-	}
 	put(persistSchema)
 	put(uint64(opts.Level))
-	putBool(opts.DisableJoin)
-	putBool(opts.DisableCyclePrune)
-	putBool(opts.NoCompress)
-	putBool(opts.TouchAllPvars)
 	return h.Sum64()
 }
 
 // stmtTransferKeys derives each statement's persistent transfer-memo
-// key: fingerprint + context-free transfer digest. Under TouchAllPvars
-// the effective induction set is the whole pvar table, which the
-// transfer digest does not see, so the sorted pvar list is mixed in.
-func stmtTransferKeys(prog *ir.Program, opts Options, fp uint64) []store.Key {
+// key: sha256(fingerprint ‖ context-free transfer digest)[:16].
+func stmtTransferKeys(prog *ir.Program, fp uint64) []store.Key {
 	tds := prog.TransferDigests()
-	var extra []byte
-	if opts.TouchAllPvars {
-		names := make([]string, 0, len(prog.PtrVars))
-		for v := range prog.PtrVars {
-			names = append(names, v)
-		}
-		sort.Strings(names)
-		for _, v := range names {
-			extra = binary.AppendUvarint(extra, uint64(len(v)))
-			extra = append(extra, v...)
-		}
-	}
 	var fpb [8]byte
 	binary.LittleEndian.PutUint64(fpb[:], fp)
 	keys := make([]store.Key, len(tds))
@@ -129,7 +106,6 @@ func stmtTransferKeys(prog *ir.Program, opts Options, fp uint64) []store.Key {
 		h := sha256.New()
 		h.Write(fpb[:])
 		h.Write(tds[i][:])
-		h.Write(extra)
 		copy(keys[i][:], h.Sum(nil)[:16])
 	}
 	return keys
@@ -156,8 +132,8 @@ func warmEligible(snap *store.Snapshot, opts Options) bool {
 // planPersist probes the store and produces the run plan. Called after
 // option defaulting (the fingerprint needs it); the program digests it
 // reads are computed on the program's first store-backed run and
-// memoized. Also arms the engine's persistent memo tier (stmtKeys)
-// whenever a store is configured, regardless of the mode chosen.
+// memoized. A cold or edit plan also arms the engine's persistent memo
+// tier (stmtKeys); a warm plan never transfers, so it derives no keys.
 func (e *engineRun) planPersist(prog *ir.Program, opts Options) *persistPlan {
 	if opts.Store == nil {
 		return &persistPlan{mode: persistOff}
@@ -165,7 +141,6 @@ func (e *engineRun) planPersist(prog *ir.Program, opts Options) *persistPlan {
 	st := opts.Store
 	fp := optionsFingerprint(opts)
 	e.store = st
-	e.stmtKeys = stmtTransferKeys(prog, opts, fp)
 	plan := &persistPlan{
 		mode:     persistCold,
 		fp:       fp,
@@ -187,9 +162,11 @@ func (e *engineRun) planPersist(prog *ir.Program, opts Options) *persistPlan {
 			// A snapshot for this exact program exists but cannot be
 			// served (budget mismatch, or its graphs are unreadable):
 			// run cold rather than edit-delta against it.
+			e.stmtKeys = stmtTransferKeys(prog, fp)
 			return plan
 		}
 	}
+	e.stmtKeys = stmtTransferKeys(prog, fp)
 	prev, ok := st.SnapshotByName(prog.Name, fp)
 	if !ok || !prev.Converged {
 		return plan

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/cminic"
 	"repro/internal/ir"
@@ -296,7 +297,7 @@ func TestPersistFingerprintInvalidation(t *testing.T) {
 	// warm-starts afterwards.
 	variants := []Options{
 		{Store: st, Level: rsg.L2},
-		{Store: st, DisableJoin: true},
+		{Store: st, Level: rsg.L3},
 	}
 	for i, opts := range variants {
 		res, err := Run(compileSrc(t, persistSrc), opts)
@@ -455,5 +456,36 @@ func TestPersistStoreMemoTier(t *testing.T) {
 	}
 	if res.Stats.StoreMemoHits == 0 {
 		t.Fatalf("store memo tier never hit: %+v", res.Stats)
+	}
+}
+
+// TestPersistWarmPlanDerivesNoMemoKeys: a warm start never transfers, so
+// its plan derives no transfer-memo keys; an edit plan keys every
+// statement of the edited program.
+func TestPersistWarmPlanDerivesNoMemoKeys(t *testing.T) {
+	st := openStore(t, filepath.Join(t.TempDir(), "cache.rsgstore"))
+	if _, err := Run(compileSrc(t, persistSrc), Options{Store: st}); err != nil {
+		t.Fatal(err)
+	}
+	plan := func(prog *ir.Program) (*persistPlan, *engineRun) {
+		opts := Options{Level: rsg.L1, MaxVisits: 200000, Store: st}
+		e := newEngineRun(opts, time.Now())
+		defer e.cancel(nil)
+		return e.planPersist(prog, opts), e
+	}
+	warm, e := plan(compileSrc(t, persistSrc))
+	if warm.mode != persistWarm {
+		t.Fatalf("repeat run planned mode %d, want warm", warm.mode)
+	}
+	if e.stmtKeys != nil {
+		t.Errorf("warm plan derived %d memo keys, want none", len(e.stmtKeys))
+	}
+	edited := compileSrc(t, persistSrcV2)
+	edit, e := plan(edited)
+	if edit.mode != persistEdit {
+		t.Fatalf("edited run planned mode %d, want edit", edit.mode)
+	}
+	if len(e.stmtKeys) != len(edited.Stmts) {
+		t.Errorf("edit plan derived %d memo keys, want %d", len(e.stmtKeys), len(edited.Stmts))
 	}
 }

@@ -138,9 +138,9 @@ func (a *Accum) MergeDeltaDirty(add, remove []*Set, opts Options) (*Set, int) {
 	var tasks []func()
 	for i, key := range keys {
 		group := a.raw[key]
-		if opts.DisableJoin || len(group) < 2 {
-			// Mirror Reduce: join-disabled or trivial buckets pass the
-			// raw entries through unreduced.
+		if len(group) < 2 {
+			// Mirror Reduce: trivial buckets pass the raw entries
+			// through unreduced.
 			results[i] = append([]entry(nil), group...)
 			continue
 		}

@@ -40,36 +40,34 @@ func sameMembership(t *testing.T, want map[rsg.Digest]struct{}, s *Set, msg stri
 // TestMergeDeltaReportsExactMembershipDelta is the Delta contract the
 // semi-naïve engine rests on: replaying the reported Added/Removed onto
 // a snapshot of the pre-merge membership must reconstruct the
-// post-merge membership exactly — across levels, join-disabled runs,
-// duplicate digests, and empty contributions.
+// post-merge membership exactly — across levels, duplicate digests, and
+// empty contributions.
 func TestMergeDeltaReportsExactMembershipDelta(t *testing.T) {
 	for _, lvl := range []rsg.Level{rsg.L1, rsg.L2, rsg.L3} {
-		for _, opts := range []Options{{}, {DisableJoin: true}} {
-			for seed := int64(0); seed < 6; seed++ {
-				r := rand.New(rand.NewSource(seed))
-				s := New()
-				shadow := membership(s)
-				for step := 0; step < 8; step++ {
-					var contribution *Set
-					switch step {
-					case 3:
-						contribution = New() // empty contribution
-					case 5:
-						// Duplicate digests: re-send an earlier round's
-						// graphs mixed with fresh ones.
-						gs := randomGraphs(rand.New(rand.NewSource(seed)), 4)
-						gs = append(gs, randomGraphs(r, 3)...)
-						contribution = FromGraphs(lvl, gs, Options{})
-					default:
-						contribution = FromGraphs(lvl, randomGraphs(r, 5), Options{})
-					}
-					d := s.MergeDeltaBatch(lvl, []*Set{contribution}, opts)
-					if !d.Changed && (len(d.Added) > 0 || len(d.Removed) > 0) {
-						t.Fatalf("%v %+v seed %d step %d: non-empty delta with Changed=false", lvl, opts, seed, step)
-					}
-					applyDelta(shadow, d)
-					sameMembership(t, shadow, s, "after MergeDeltaBatch")
+		for seed := int64(0); seed < 6; seed++ {
+			r := rand.New(rand.NewSource(seed))
+			s := New()
+			shadow := membership(s)
+			for step := 0; step < 8; step++ {
+				var contribution *Set
+				switch step {
+				case 3:
+					contribution = New() // empty contribution
+				case 5:
+					// Duplicate digests: re-send an earlier round's
+					// graphs mixed with fresh ones.
+					gs := randomGraphs(rand.New(rand.NewSource(seed)), 4)
+					gs = append(gs, randomGraphs(r, 3)...)
+					contribution = FromGraphs(lvl, gs, Options{})
+				default:
+					contribution = FromGraphs(lvl, randomGraphs(r, 5), Options{})
 				}
+				d := s.MergeDeltaBatch(lvl, []*Set{contribution}, Options{})
+				if !d.Changed && (len(d.Added) > 0 || len(d.Removed) > 0) {
+					t.Fatalf("%v seed %d step %d: non-empty delta with Changed=false", lvl, seed, step)
+				}
+				applyDelta(shadow, d)
+				sameMembership(t, shadow, s, "after MergeDeltaBatch")
 			}
 		}
 	}
@@ -83,48 +81,44 @@ func TestAccumMatchesFullReduce(t *testing.T) {
 	// One join cache shared across every accumulator in the sweep, as the
 	// engine shares one per run: cached compat/join results must keep
 	// every accumulator identical to the cache-free UnionAll reference.
-	jc := NewJoinCache()
+	opts := Options{Joins: NewJoinCache()}
 	for _, lvl := range []rsg.Level{rsg.L1, rsg.L2, rsg.L3} {
-		for _, base := range []Options{{}, {DisableJoin: true}} {
-			opts := base
-			opts.Joins = jc
-			for seed := int64(40); seed < 44; seed++ {
-				r := rand.New(rand.NewSource(seed))
-				acc := NewAccum(lvl)
-				var live []*Set
-				for step := 0; step < 10; step++ {
-					var add, remove []*Set
-					// Mostly grow (the engine's in-states are monotone;
-					// removals model members joined away), sometimes with
-					// an empty delta.
-					switch {
-					case step == 4:
-						// no-op delta: must return the cached state
-					case len(live) > 2 && r.Intn(3) == 0:
-						i := r.Intn(len(live))
-						remove = append(remove, live[i])
-						live = append(live[:i], live[i+1:]...)
-						add = append(add, FromGraphs(lvl, randomGraphs(r, 3), Options{}))
-						live = append(live, add[0])
-					default:
-						for n := 1 + r.Intn(2); n > 0; n-- {
-							p := FromGraphs(lvl, randomGraphs(r, 3), Options{})
-							add = append(add, p)
-							live = append(live, p)
-						}
+		for seed := int64(40); seed < 44; seed++ {
+			r := rand.New(rand.NewSource(seed))
+			acc := NewAccum(lvl)
+			var live []*Set
+			for step := 0; step < 10; step++ {
+				var add, remove []*Set
+				// Mostly grow (the engine's in-states are monotone;
+				// removals model members joined away), sometimes with
+				// an empty delta.
+				switch {
+				case step == 4:
+					// no-op delta: must return the cached state
+				case len(live) > 2 && r.Intn(3) == 0:
+					i := r.Intn(len(live))
+					remove = append(remove, live[i])
+					live = append(live[:i], live[i+1:]...)
+					add = append(add, FromGraphs(lvl, randomGraphs(r, 3), Options{}))
+					live = append(live, add[0])
+				default:
+					for n := 1 + r.Intn(2); n > 0; n-- {
+						p := FromGraphs(lvl, randomGraphs(r, 3), Options{})
+						add = append(add, p)
+						live = append(live, p)
 					}
-					out, dirty := acc.MergeDeltaDirty(add, remove, opts)
-					if len(add) == 0 && len(remove) == 0 && dirty != 0 {
-						t.Fatalf("%v %+v seed %d step %d: empty delta dirtied %d buckets", lvl, opts, seed, step, dirty)
-					}
-					want := UnionAll(lvl, live, opts)
-					if !out.Equal(want) {
-						t.Fatalf("%v %+v seed %d step %d: accum diverged from full reduce:\naccum %s\nfull  %s",
-							lvl, opts, seed, step, out.Signature(), want.Signature())
-					}
-					if acc.Len() != want.Len() {
-						t.Fatalf("%v %+v seed %d step %d: Accum.Len=%d want %d", lvl, opts, seed, step, acc.Len(), want.Len())
-					}
+				}
+				out, dirty := acc.MergeDeltaDirty(add, remove, opts)
+				if len(add) == 0 && len(remove) == 0 && dirty != 0 {
+					t.Fatalf("%v seed %d step %d: empty delta dirtied %d buckets", lvl, seed, step, dirty)
+				}
+				want := UnionAll(lvl, live, opts)
+				if !out.Equal(want) {
+					t.Fatalf("%v seed %d step %d: accum diverged from full reduce:\naccum %s\nfull  %s",
+						lvl, seed, step, out.Signature(), want.Signature())
+				}
+				if acc.Len() != want.Len() {
+					t.Fatalf("%v seed %d step %d: Accum.Len=%d want %d", lvl, seed, step, acc.Len(), want.Len())
 				}
 			}
 		}

@@ -202,9 +202,6 @@ type Exec func(tasks []func())
 
 // Options tunes the reduction. The zero value is the paper's behaviour.
 type Options struct {
-	// DisableJoin keeps every distinct RSG instead of joining compatible
-	// ones; used by the ablation benchmarks.
-	DisableJoin bool
 	// Exec, when non-nil, runs the per-alias-bucket reduction tasks of
 	// Reduce and MergeDeltaBatch concurrently. Buckets are independent —
 	// compatibility requires equal alias keys, digest-equal graphs have
@@ -350,7 +347,7 @@ func (s *Set) NumLinks() int { return s.numLinks }
 // with the results recombined in sorted bucket-key order so the final
 // set is identical regardless of schedule. Returns the number of joins.
 func (s *Set) Reduce(lvl rsg.Level, opts Options) int {
-	if opts.DisableJoin || len(s.entries) < 2 {
+	if len(s.entries) < 2 {
 		return 0
 	}
 
@@ -568,15 +565,6 @@ func (s *Set) absorbContrib(other *Set, delta []entry) []entry {
 func (s *Set) mergeEntries(lvl rsg.Level, delta []entry, opts Options) Delta {
 	track := newDeltaTracker()
 	changed := false
-	if opts.DisableJoin {
-		for _, e := range delta {
-			if s.addEntry(e) {
-				changed = true
-				track.add(e)
-			}
-		}
-		return track.delta(changed)
-	}
 
 	// Process the delta per alias bucket: a new entry can only
 	// deduplicate against or join with members of its own bucket

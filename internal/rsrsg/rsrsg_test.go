@@ -133,16 +133,6 @@ func TestReduceKeepsIncompatible(t *testing.T) {
 	}
 }
 
-func TestReduceDisableJoin(t *testing.T) {
-	g1 := mkGraph("t", "x")
-	g2 := mkGraph("t", "x")
-	g2.AddNode(rsg.NewNode("t")) // unreachable, still distinct signature
-	s := FromGraphs(rsg.L1, []*rsg.Graph{g1, g2}, Options{DisableJoin: true})
-	if s.Len() != 2 {
-		t.Fatalf("DisableJoin must keep both graphs, got %d", s.Len())
-	}
-}
-
 func TestReduceKeepsUnjoinableGraphs(t *testing.T) {
 	// Same-alias graphs with different SHSEL sets are incompatible, so
 	// reduction keeps all five: nothing caps a bucket's size.

@@ -26,6 +26,12 @@ const maxBodyBytes = 4 << 20
 // which fills the machine; digests do not depend on it either way.
 const engineWorkers = 1
 
+// maxConfirmRuns caps CheckRequest.ConfirmRuns at 16x the default. The
+// concrete confirmation runs after the analysis and does not watch the
+// request's timeout, so without a cap one request could hold a worker
+// for hours.
+const maxConfirmRuns = 1024
+
 // AnalyzeRequest is the POST /analyze payload.
 type AnalyzeRequest struct {
 	// Name identifies the program in the store (snapshot warm-start and
@@ -87,7 +93,8 @@ type CheckRequest struct {
 	MaxVisits  int   `json:"max_visits,omitempty"`
 	NodeBudget int   `json:"node_budget,omitempty"`
 	// ConfirmRuns/ConfirmSeed tune the randomized alarm confirmation
-	// (defaults 64 / 1).
+	// (defaults 64 / 1). ConfirmRuns above 1024 is clamped down to it;
+	// a negative value is rejected.
 	ConfirmRuns int   `json:"confirm_runs,omitempty"`
 	ConfirmSeed int64 `json:"confirm_seed,omitempty"`
 }
@@ -292,6 +299,13 @@ func (s *Service) handleCheck(w http.ResponseWriter, r *http.Request) {
 		s.checkEP.requests.Add(1)
 		return
 	}
+	if req.ConfirmRuns < 0 {
+		s.checkEP.failures.Add(1)
+		s.checkEP.requests.Add(1)
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("service: confirm_runs %d is negative", req.ConfirmRuns))
+		return
+	}
+	req.ConfirmRuns = min(req.ConfirmRuns, maxConfirmRuns)
 	release, ok := s.admit(w, r, &s.checkEP)
 	if !ok {
 		return

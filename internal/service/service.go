@@ -18,12 +18,13 @@
 // Admission is a bounded worker pool: at most Config.Workers requests
 // execute concurrently, at most Config.Queue more wait; past that the
 // service answers 429 immediately. Per-request budgets (timeout, visit
-// cap, node budget) are taken from the request but clamped by the
-// server-side ceilings, so no client can pin a worker indefinitely; a
-// run that exceeds its timeout answers 504 while the other workers
-// keep serving. Both POST endpoints share compiled programs across
-// requests with the same name and source (progcache.go); the engine
-// never modifies a program, so concurrent requests may share one.
+// cap, node budget, and /check's confirmation runs) are taken from the
+// request but clamped by the server-side ceilings, so no client can pin
+// a worker indefinitely; a run that exceeds its timeout answers 504
+// while the other workers keep serving. Both POST endpoints share
+// compiled programs across requests with the same name and source
+// (progcache.go); the engine never modifies a program, so concurrent
+// requests may share one.
 package service
 
 import (

@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/benchprog"
@@ -390,5 +392,31 @@ func TestBadRequests(t *testing.T) {
 	g.Body.Close()
 	if g.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /analyze: status %d, want 405", g.StatusCode)
+	}
+}
+
+// TestCheckConfirmRunsCeiling: confirm_runs is clamped to a fixed
+// ceiling, so a huge value cannot pin a worker past every timeout, and
+// a negative one is rejected. The task's alarm is never confirmed, so
+// the confirmation loop would run every requested execution.
+func TestCheckConfirmRunsCeiling(t *testing.T) {
+	srv, _ := newServer(t, service.Config{Workers: 1})
+	src, err := os.ReadFile(filepath.Join("..", "verdict", "testdata", "corpus", "uaf_dangling_ref_unknown.c"))
+	if err != nil {
+		t.Fatalf("corpus task missing: %v", err)
+	}
+	start := time.Now()
+	code, body := postJSON(t, srv.URL+"/check", service.CheckRequest{
+		Source: string(src), TimeoutMS: 50, ConfirmRuns: 1 << 30,
+	}, nil)
+	if code != http.StatusOK {
+		t.Fatalf("confirm_runs 1<<30: status %d: %s", code, body)
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Errorf("confirm_runs 1<<30 took %v, want the clamped ceiling's cost", d)
+	}
+	code, _ = postJSON(t, srv.URL+"/check", service.CheckRequest{Source: string(src), ConfirmRuns: -1}, nil)
+	if code != http.StatusBadRequest {
+		t.Errorf("confirm_runs -1: status %d, want 400", code)
 	}
 }
