@@ -56,12 +56,14 @@ bench-smoke:
 # prints its per-cell time/alloc deltas against it with -compare. Both
 # runs are the same code on the same machine, so the ratios show
 # run-to-run noise, not a regression signal; the target exists to keep
-# the harness and its -json -> -compare path exercised.
+# the harness and its -json -> -compare path exercised. Each run also
+# measures the store-backed modes (-persist warm,edit): the populate
+# pass, one store file per configuration and the tail-edit kernel.
 bench-compare:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) build -o "$$tmp/benchtab" ./cmd/benchtab && \
-	"$$tmp/benchtab" -kernels barneshut,matvec -levels 1 -reps 1 -workers 1 -json "$$tmp/base.json" && \
-	"$$tmp/benchtab" -kernels barneshut,matvec -levels 1 -reps 1 -workers 1 -compare "$$tmp/base.json"
+	"$$tmp/benchtab" -kernels barneshut,matvec -levels 1 -reps 1 -workers 1 -persist cold,warm,edit -json "$$tmp/base.json" && \
+	"$$tmp/benchtab" -kernels barneshut,matvec -levels 1 -reps 1 -workers 1 -persist cold,warm,edit -compare "$$tmp/base.json"
 
 # Scheduler smoke gate (DESIGN.md §14): the Figure 1 list, matvec and
 # Barnes-Hut must converge at L1 within absolute ceilings on visits and

@@ -77,16 +77,17 @@ type cell struct {
 	reps []repMeasurement
 }
 
-// repMeasurement is one rep's outcome for one cell. It keeps the run's
-// counters but not its Result: every rep lives until the table is
-// printed, and a retained fixed point would count in the peak heap of
-// every cell measured after it.
+// repMeasurement is one rep's outcome for one cell. It keeps a copy of
+// the run's counters but not its Result, which every run returns, even
+// an aborted one: every rep lives until the table is printed, and a
+// retained fixed point would count in the peak heap of every cell
+// measured after it.
 type repMeasurement struct {
 	ns         int64
 	allocBytes uint64
 	allocObjs  uint64
 	peakHeap   uint64
-	stats      *analysis.Stats // nil when the run aborted
+	stats      analysis.Stats
 	err        error
 }
 
@@ -98,29 +99,27 @@ type repMeasurement struct {
 // (analysis.LevelReport.PeakHeapBytes); snapshots written before it was
 // recorded read 0.
 type cellResult struct {
-	Bench            string  `json:"bench"`
-	Level            string  `json:"level"`
-	Workers          int     `json:"workers"`
-	Delta            bool    `json:"delta"`
-	Sched            string  `json:"sched"`
-	Persist          string  `json:"persist"`
-	Visits           int     `json:"visits"`
-	Reps             int     `json:"reps"`
-	MedianNs         int64   `json:"median_ns"`
-	MedianAllocBytes uint64  `json:"median_alloc_bytes"`
-	MedianAllocs     uint64  `json:"median_allocs"`
-	MedianPeakHeap   uint64  `json:"median_peak_heap_bytes"`
-	PoolHitRate      float64 `json:"pool_hit_rate"`
-	MaskSpills       uint64  `json:"mask_spills"`
-	DeltaTransfers   int     `json:"delta_transfers"`
-	DirtyBuckets     int     `json:"dirty_buckets"`
-	VisitsRun        int     `json:"visits_run"`
-	StoreMemoHits    int     `json:"store_memo_hits,omitempty"`
-	ReusedStmts      int     `json:"reused_statements,omitempty"`
-	ReseededStmts    int     `json:"reseeded_statements,omitempty"`
-	PeakNodes        int     `json:"peak_nodes"`
-	PeakGraphs       int     `json:"peak_graphs"`
-	Outcome          string  `json:"outcome"`
+	Bench            string `json:"bench"`
+	Level            string `json:"level"`
+	Workers          int    `json:"workers"`
+	Delta            bool   `json:"delta"`
+	Sched            string `json:"sched"`
+	Persist          string `json:"persist"`
+	Visits           int    `json:"visits"`
+	Reps             int    `json:"reps"`
+	MedianNs         int64  `json:"median_ns"`
+	MedianAllocBytes uint64 `json:"median_alloc_bytes"`
+	MedianAllocs     uint64 `json:"median_allocs"`
+	MedianPeakHeap   uint64 `json:"median_peak_heap_bytes"`
+	DeltaTransfers   int    `json:"delta_transfers"`
+	DirtyBuckets     int    `json:"dirty_buckets"`
+	VisitsRun        int    `json:"visits_run"`
+	StoreMemoHits    int    `json:"store_memo_hits,omitempty"`
+	ReusedStmts      int    `json:"reused_statements,omitempty"`
+	ReseededStmts    int    `json:"reseeded_statements,omitempty"`
+	PeakNodes        int    `json:"peak_nodes"`
+	PeakGraphs       int    `json:"peak_graphs"`
+	Outcome          string `json:"outcome"`
 }
 
 // jsonDoc is the top-level -json document.
@@ -321,18 +320,14 @@ func main() {
 				os.Exit(1)
 			}
 			rep := analysis.RunLevel(prog, c.lvl, nil, c.opts)
-			m := repMeasurement{
+			c.reps = append(c.reps, repMeasurement{
 				ns:         rep.Duration.Nanoseconds(),
 				allocBytes: rep.AllocBytes,
 				allocObjs:  rep.AllocObjects,
 				peakHeap:   rep.PeakHeapBytes,
+				stats:      rep.Result.Stats,
 				err:        rep.Err,
-			}
-			if rep.Result != nil {
-				st := rep.Result.Stats // a copy: a pointer into Result would keep it alive
-				m.stats = &st
-			}
-			c.reps = append(c.reps, m)
+			})
 		}
 	}
 
@@ -340,8 +335,8 @@ func main() {
 	if *reps > 1 {
 		head = fmt.Sprintf("time(med/%d)", *reps)
 	}
-	fmt.Printf("%-10s %-4s %-7s %-13s %-12s %-12s %-10s %-26s %-9s %s\n",
-		"code", "lvl", "persist", head, "peak-heap", "alloc", "allocs/op", "peak(nodes/links/graphs)", "pool-hit", "outcome")
+	fmt.Printf("%-10s %-4s %-7s %-13s %-12s %-12s %-10s %-26s %s\n",
+		"code", "lvl", "persist", head, "peak-heap", "alloc", "allocs/op", "peak(nodes/links/graphs)", "outcome")
 
 	doc := jsonDoc{
 		Generated:  time.Now().UTC().Format(time.RFC3339),
@@ -350,20 +345,15 @@ func main() {
 	for _, c := range cells {
 		cr := c.aggregate(*workers, *visits)
 		doc.Results = append(doc.Results, cr)
-		last := c.reps[len(c.reps)-1]
-		peak := "-"
-		poolHit := "-"
-		if st := last.stats; st != nil {
-			peak = fmt.Sprintf("%d/%d/%d", st.PeakNodes, st.PeakLinks, st.PeakGraphs)
-			poolHit = fmt.Sprintf("%.1f%%", 100*cr.PoolHitRate)
-		}
-		fmt.Printf("%-10s %-4s %-7s %-13s %-12s %-12s %-10s %-26s %-9s %s\n",
+		st := &c.reps[len(c.reps)-1].stats
+		fmt.Printf("%-10s %-4s %-7s %-13s %-12s %-12s %-10s %-26s %s\n",
 			c.kernel.Name, c.lvl, c.persist,
 			time.Duration(cr.MedianNs).Round(10*time.Millisecond),
 			fmtMB(cr.MedianPeakHeap),
 			fmtMB(cr.MedianAllocBytes),
 			fmtCount(cr.MedianAllocs),
-			peak, poolHit, cr.Outcome)
+			fmt.Sprintf("%d/%d/%d", st.PeakNodes, st.PeakLinks, st.PeakGraphs),
+			cr.Outcome)
 	}
 
 	if *verdicts {
@@ -442,22 +432,18 @@ func (c *cell) aggregate(workers, visits int) cellResult {
 		MedianAllocBytes: medianU64(ab),
 		MedianAllocs:     medianU64(ao),
 		MedianPeakHeap:   medianU64(ph),
+		DeltaTransfers:   last.stats.DeltaTransfers,
+		DirtyBuckets:     last.stats.DirtyBuckets,
+		VisitsRun:        last.stats.Visits,
+		StoreMemoHits:    last.stats.StoreMemoHits,
+		ReusedStmts:      last.stats.ReusedStatements,
+		ReseededStmts:    last.stats.ReseededStatements,
+		PeakNodes:        last.stats.PeakNodes,
+		PeakGraphs:       last.stats.PeakGraphs,
 		Outcome:          "ok",
 	}
 	if last.err != nil {
 		cr.Outcome = last.err.Error()
-	}
-	if st := last.stats; st != nil {
-		cr.PoolHitRate = st.PoolHitRate()
-		cr.MaskSpills = st.Cache.MaskSpills
-		cr.DeltaTransfers = st.DeltaTransfers
-		cr.DirtyBuckets = st.DirtyBuckets
-		cr.VisitsRun = st.Visits
-		cr.StoreMemoHits = st.StoreMemoHits
-		cr.ReusedStmts = st.ReusedStatements
-		cr.ReseededStmts = st.ReseededStatements
-		cr.PeakNodes = st.PeakNodes
-		cr.PeakGraphs = st.PeakGraphs
 	}
 	return cr
 }

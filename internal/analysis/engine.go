@@ -9,7 +9,6 @@ package analysis
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/absem"
@@ -153,35 +152,20 @@ type Stats struct {
 	// forward cone. Both are 0 on cold runs.
 	ReusedStatements   int
 	ReseededStatements int
-	// Cache holds the rsg digest/intern counters of this run. The
-	// GraphsFrozen/DigestsComputed/InternHits/InternMisses fields (and
-	// the funnel's share of DigestCacheHits) come from a per-run
-	// recorder threaded through the reduction layer, so they are exact
-	// even when several Runs overlap in one process (the daemon's
-	// steady state). PoolGets/PoolNews/MaskSpills are deltas of the
-	// process-global scratch-pool tallies, which have no per-run
-	// identity; see SharedTallies.
+	// Cache holds the rsg digest/freeze/intern counters of this run,
+	// from the run's own recorder threaded through the reduction layer,
+	// so they count this run's work alone even when several Runs overlap
+	// in one process (the daemon's steady state).
 	Cache rsg.CacheStats
-	// SharedTallies reports that at least one other Run was active at
-	// some point during this run. Only the pool/spill fields of Cache
-	// are affected — they are global deltas and then include the
-	// overlapping runs' checkouts too; the recorder-backed fields stay
-	// exact regardless.
-	SharedTallies bool
 }
 
 // CacheSummary renders the delta and cache counters in one line.
 func (s *Stats) CacheSummary() string {
-	shared := ""
-	if s.SharedTallies {
-		shared = " [shared: concurrent runs, pool/spill tallies over-count]"
-	}
 	return fmt.Sprintf(
-		"delta(transfers=%d dirty=%d) frozen=%d digests(computed=%d cached=%d) intern(hits=%d misses=%d) pool(gets=%d news=%d hit=%.1f%%) mask-spills=%d%s",
+		"delta(transfers=%d dirty=%d) frozen=%d digests(computed=%d cached=%d) intern(hits=%d misses=%d)",
 		s.DeltaTransfers, s.DirtyBuckets,
 		s.Cache.GraphsFrozen, s.Cache.DigestsComputed, s.Cache.DigestCacheHits,
-		s.Cache.InternHits, s.Cache.InternMisses,
-		s.Cache.PoolGets, s.Cache.PoolNews, 100*s.PoolHitRate(), s.Cache.MaskSpills, shared)
+		s.Cache.InternHits, s.Cache.InternMisses)
 }
 
 // SchedSummary renders the scheduling counters in one line.
@@ -231,15 +215,6 @@ func (s *Stats) VisitHistogram() string {
 	return out
 }
 
-// PoolHitRate returns the fraction of scratch-pool checkouts served
-// without allocating a fresh scratch, or 0 when no checkout happened.
-func (s *Stats) PoolHitRate() float64 {
-	if s.Cache.PoolGets == 0 {
-		return 0
-	}
-	return float64(s.Cache.PoolGets-s.Cache.PoolNews) / float64(s.Cache.PoolGets)
-}
-
 // Result is the outcome of one analysis run.
 type Result struct {
 	Program *ir.Program
@@ -271,29 +246,11 @@ func Run(prog *ir.Program, opts Options) (*Result, error) {
 		Out:     make(map[int]*rsrsg.Set, len(prog.Stmts)),
 	}
 	start := time.Now()
-	// The digest/freeze/intern counters come from the run's private
-	// recorder (eng.rec, threaded through rsrsg.Options.Stats), so they
-	// are exact under overlapping runs. The scratch-pool tallies are
-	// process-global with no per-run identity; detect overlapping runs
-	// so their delta can be flagged as shared rather than silently
-	// double-counted.
-	myEpoch := runEpoch.Add(1)
-	shared := activeRuns.Add(1) > 1
-	cacheBase := rsg.ReadCacheStats()
 	eng := newEngineRun(opts, start)
 	defer eng.cancel(nil)
 	defer func() {
 		res.Stats.Duration = time.Since(start)
-		pools := rsg.ReadCacheStats().Sub(cacheBase)
 		res.Stats.Cache = eng.rec.Snapshot()
-		res.Stats.Cache.PoolGets = pools.PoolGets
-		res.Stats.Cache.PoolNews = pools.PoolNews
-		res.Stats.Cache.MaskSpills = pools.MaskSpills
-		if runEpoch.Load() != myEpoch {
-			shared = true
-		}
-		activeRuns.Add(-1)
-		res.Stats.SharedTallies = shared
 		res.Stats.Workers = eng.workers
 		res.Stats.ParallelTransfers = int(eng.parallelTransfers.Load())
 		res.Stats.ParallelJobs = int(eng.parallelJobs.Load())
@@ -498,16 +455,6 @@ func exitedInduction(prog *ir.Program, pred, id int) rsg.PvarSet {
 	}
 	return out
 }
-
-// activeRuns/runEpoch let Run detect overlapping analyses for the
-// Stats.SharedTallies flag: activeRuns counts runs currently inside
-// Run, and runEpoch increments on every Run start so a run that begins
-// and ends entirely inside another one is still observed (the
-// enclosing run sees the epoch move).
-var (
-	activeRuns atomic.Int64
-	runEpoch   atomic.Uint64
-)
 
 // stepGraph dispatches one graph through a statement's per-graph
 // abstract semantics.

@@ -3,15 +3,16 @@ package analysis_test
 // Tests for the parallel fixpoint engine (DESIGN.md §7): the
 // determinism property (any worker count produces bit-identical
 // per-statement digests), prompt cancellation of in-flight workers on
-// Timeout/NodeBudget, goroutine hygiene, and the CacheShared overlap
-// flag on the process-global rsg counters, and a process-global intern
-// table that a finished run leaves as it found it.
+// Timeout/NodeBudget, goroutine hygiene, per-run cache counts under
+// overlapping runs, and a process-global intern table that a finished
+// run leaves as it found it.
 
 import (
 	"errors"
 	"fmt"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -327,49 +328,45 @@ func TestVisitBudgetWithWorkers(t *testing.T) {
 	expectNoGoroutineLeak(t, base)
 }
 
-// TestPerRunCacheStats pins the Stats.Cache contract after the per-run
-// recorder fix: the digest/freeze/intern fields are exact per run even
-// when two runs overlap in one process — the deltas of the global rsg
-// counters partition across the runs' recorders instead of each run
-// seeing both runs' traffic — while only the process-global pool/spill
-// tallies carry the SharedTallies caveat.
+// TestPerRunCacheStats checks that Stats.Cache counts one run's work
+// alone. A run makes the same intern and digest calls whatever else the
+// process does; only the hit/miss split depends on what is already
+// interned. So each of two concurrent runs must count exactly as many
+// interns (hits + misses) and digests (computed + cached) as the same
+// run alone, where attributing process-wide activity to a run would
+// count both runs' calls. A collection can clear a weakly held join
+// result, whose recompute interns once more, so collection is off for
+// the test; 300 visits keep the run's join cache below its reset.
 func TestPerRunCacheStats(t *testing.T) {
-	prog, _ := compileKernel(t, "barneshut")
-	solo, err := analysis.Run(prog, analysis.Options{Level: rsg.L1, MaxVisits: 100, Workers: 1})
-	if err != nil && !errors.Is(err, analysis.ErrNoConvergence) {
-		t.Fatal(err)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	opts := analysis.Options{Level: rsg.L1, MaxVisits: 300, Workers: 2}
+	run := func(name string) *analysis.Result {
+		prog, _ := compileKernel(t, "barneshut")
+		res, err := analysis.Run(prog, opts)
+		if err != nil && !errors.Is(err, analysis.ErrNoConvergence) {
+			t.Errorf("%s: %v", name, err)
+		}
+		return res
 	}
-	if solo.Stats.SharedTallies {
-		t.Fatal("solo run reports SharedTallies")
-	}
-	if strings.Contains(solo.Stats.CacheSummary(), "shared") {
-		t.Fatal("solo CacheSummary carries the shared marker")
-	}
-	// A warm intern table (repeat runs in one process) can make every
-	// intern a hit, so only the digest computations are unconditional.
-	if solo.Stats.Cache.DigestsComputed == 0 || solo.Stats.Cache.InternHits+solo.Stats.Cache.InternMisses == 0 {
-		t.Fatalf("solo recorder saw no work: %+v", solo.Stats.Cache)
-	}
+	interns := func(c rsg.CacheStats) uint64 { return c.InternHits + c.InternMisses }
+	digests := func(c rsg.CacheStats) uint64 { return c.DigestsComputed + c.DigestCacheHits }
 
-	progA, _ := compileKernel(t, "barneshut")
-	progB, _ := compileKernel(t, "barneshut")
-	base := rsg.ReadCacheStats()
+	solo := run("solo run").Stats.Cache
+	if interns(solo) == 0 || digests(solo) == 0 {
+		t.Fatalf("solo recorder saw no work: %+v", solo)
+	}
 	var ready, done sync.WaitGroup
 	start := make(chan struct{})
 	results := make([]*analysis.Result, 2)
-	for i, p := range []*ir.Program{progA, progB} {
+	for i := range results {
 		ready.Add(1)
 		done.Add(1)
-		go func(i int, p *ir.Program) {
+		go func(i int) {
 			defer done.Done()
 			ready.Done()
 			<-start
-			res, err := analysis.Run(p, analysis.Options{Level: rsg.L1, MaxVisits: 300, Workers: 2})
-			if err != nil && !errors.Is(err, analysis.ErrNoConvergence) {
-				t.Errorf("concurrent run %d: %v", i, err)
-			}
-			results[i] = res
-		}(i, p)
+			results[i] = run(fmt.Sprintf("concurrent run %d", i))
+		}(i)
 	}
 	ready.Wait()
 	close(start)
@@ -377,46 +374,13 @@ func TestPerRunCacheStats(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	global := rsg.ReadCacheStats().Sub(base)
-	a, b := results[0].Stats.Cache, results[1].Stats.Cache
-
-	// Exactness: every freeze and intern in the process during the window
-	// went through one run's reduction funnel, so the two recorders must
-	// partition the global delta — the old global-delta attribution would
-	// instead report (almost) the full total for both runs.
-	if a.GraphsFrozen+b.GraphsFrozen != global.GraphsFrozen {
-		t.Errorf("GraphsFrozen not partitioned: %d + %d != %d", a.GraphsFrozen, b.GraphsFrozen, global.GraphsFrozen)
-	}
-	if a.InternMisses+b.InternMisses != global.InternMisses {
-		t.Errorf("InternMisses not partitioned: %d + %d != %d", a.InternMisses, b.InternMisses, global.InternMisses)
-	}
-	if a.InternHits+b.InternHits != global.InternHits {
-		t.Errorf("InternHits not partitioned: %d + %d != %d", a.InternHits, b.InternHits, global.InternHits)
-	}
-	// Digest counters are recorded where the funnel computes them; the
-	// engine also reads digests of frozen graphs outside it, so the
-	// recorders bound the global delta from below.
-	if sum := a.DigestsComputed + b.DigestsComputed; sum > global.DigestsComputed {
-		t.Errorf("DigestsComputed over-attributed: %d > %d", sum, global.DigestsComputed)
-	}
-	if sum := a.DigestCacheHits + b.DigestCacheHits; sum > global.DigestCacheHits {
-		t.Errorf("DigestCacheHits over-attributed: %d > %d", sum, global.DigestCacheHits)
-	}
-	// Identical programs share the intern table, so whichever run gets
-	// there second (or any run on a warm table) may legitimately freeze
-	// nothing — but each run still computes digests of its own graphs.
 	for i, res := range results {
-		if c := res.Stats.Cache; c.DigestsComputed == 0 {
-			t.Errorf("run %d recorder saw no work: %+v", i, c)
+		c := res.Stats.Cache
+		if interns(c) != interns(solo) {
+			t.Errorf("run %d: %d interns, %d alone", i, interns(c), interns(solo))
 		}
-	}
-
-	if !results[0].Stats.SharedTallies && !results[1].Stats.SharedTallies {
-		t.Fatal("two overlapping runs and neither reports SharedTallies")
-	}
-	for i, res := range results {
-		if res.Stats.SharedTallies && !strings.Contains(res.Stats.CacheSummary(), "shared") {
-			t.Fatalf("run %d: SharedTallies set but CacheSummary lacks the marker", i)
+		if digests(c) != digests(solo) {
+			t.Errorf("run %d: %d digests, %d alone", i, digests(c), digests(solo))
 		}
 	}
 }

@@ -37,7 +37,8 @@ type LevelGated interface {
 // LevelReport describes one level's run within a progressive analysis.
 type LevelReport struct {
 	Level rsg.Level
-	// Result is nil when the run aborted (e.g. budget exceeded).
+	// Result is never nil: an aborted run (e.g. budget exceeded) also
+	// returns its Result, holding the out-states reached, and sets Err.
 	Result *Result
 	Err    error
 	// GoalsMet reports whether every goal held at this level.

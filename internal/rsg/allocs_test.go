@@ -123,14 +123,14 @@ func TestInternMissAllocCeiling(t *testing.T) {
 		gs[i] = buildChain("miss", 24+i)
 	}
 	runtime.GC()
-	before := ReadCacheStats()
+	var rec RunStats
 	i := 0
 	avg := testing.AllocsPerRun(runs, func() {
-		gs[i] = Intern(gs[i])
+		gs[i] = InternStats(gs[i], &rec)
 		i++
 	})
-	if d := ReadCacheStats().Sub(before); d.InternMisses != runs+1 {
-		t.Fatalf("%d of %d interns missed", d.InternMisses, runs+1)
+	if m := rec.Snapshot().InternMisses; m != runs+1 {
+		t.Fatalf("%d of %d interns missed", m, runs+1)
 	}
 	// Measured 16 allocs/op: the freeze (alias key and SPATH sets), the
 	// weak handle and cleanup (3 of the 16) and the amortized growth of

@@ -3,7 +3,6 @@ package rsg
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"weak"
 )
 
@@ -23,7 +22,6 @@ func (g *Graph) Freeze() *Graph {
 	if g.frozen {
 		return g
 	}
-	cacheStats.digestsComputed.Add(1)
 	return g.freezeWithDigest(computeDigest(g), nil)
 }
 
@@ -32,14 +30,13 @@ func (g *Graph) Freeze() *Graph {
 // flat encoding already *is* the sorted view, so besides the digest,
 // freezing pins only what the RSRSG reduction reads per graph pair: the
 // alias key and the positional SPATH sets. Views only output code reads,
-// such as Links and Pvars, are computed on demand. rec, when non-nil,
-// also attributes the freeze to one run's RunStats.
+// such as Links and Pvars, are computed on demand. rec counts the
+// freeze.
 func (g *Graph) freezeWithDigest(d Digest, rec *RunStats) *Graph {
 	g.cAlias = aliasKey(g)
 	g.cSPaths = g.spathSets()
 	g.frozen = true
 	g.digest = d
-	cacheStats.graphsFrozen.Add(1)
 	rec.addFrozen()
 	return g
 }
@@ -61,14 +58,7 @@ func (g *Graph) mustMutate(op string) {
 // collision, negligible at 128 bits). On a frozen graph the digest was
 // memoized at freeze time and this is a field read; on a mutable graph
 // it is recomputed from scratch on every call.
-func (g *Graph) Digest() Digest {
-	if g.frozen {
-		cacheStats.digestHits.Add(1)
-		return g.digest
-	}
-	cacheStats.digestsComputed.Add(1)
-	return computeDigest(g)
-}
+func (g *Graph) Digest() Digest { return g.DigestStats(nil) }
 
 // DigestEqual reports whether two graphs have the same canonical form,
 // i.e. Signature(a) == Signature(b).
@@ -122,20 +112,19 @@ func Intern(g *Graph) *Graph { return InternStats(g, nil) }
 
 // lookupLocked returns the live canonical instance for d, or nil when
 // the table holds none: never interned, or collected and not yet
-// released. The shard mutex must be held. rec, when non-nil, also
-// attributes a hit to one run's RunStats; finding g itself is no hit.
+// released. The shard mutex must be held. rec counts a hit; finding g
+// itself is no hit.
 func (s *shard) lookupLocked(g *Graph, d Digest, rec *RunStats) *Graph {
 	old := s.tab[d].Value()
 	if old != nil && old != g {
-		cacheStats.internHits.Add(1)
 		rec.addInternHit()
 	}
 	return old
 }
 
 // insertLocked makes the frozen graph g the canonical instance for d
-// and counts a miss; the shard mutex must be held and the slot must
-// hold no live instance.
+// and counts a miss into rec; the shard mutex must be held and the slot
+// must hold no live instance.
 func (s *shard) insertLocked(g *Graph, d Digest, rec *RunStats) {
 	if s.tab == nil {
 		s.tab = make(map[Digest]weak.Pointer[Graph], 64)
@@ -145,7 +134,6 @@ func (s *shard) insertLocked(g *Graph, d Digest, rec *RunStats) {
 	// Neither the function nor its argument may reach g, or g would
 	// never be collected.
 	runtime.AddCleanup(g, release, internRef{d: d, wp: wp})
-	cacheStats.internMisses.Add(1)
 	rec.addInternMiss()
 }
 
@@ -180,75 +168,4 @@ func InternedGraphs() int {
 		s.mu.Unlock()
 	}
 	return n
-}
-
-// ---- observability counters -------------------------------------------
-
-// CacheStats is a snapshot of the package-global digest/freeze/intern
-// counters. The counters only ever grow; subtract two snapshots (Sub)
-// to attribute activity to one analysis run. The intern table's current
-// size is not a counter; InternedGraphs reports it.
-type CacheStats struct {
-	// GraphsFrozen counts Graph.Freeze calls that froze a graph.
-	GraphsFrozen uint64
-	// DigestsComputed counts full digest computations (one per freeze,
-	// plus any Digest call on an unfrozen graph).
-	DigestsComputed uint64
-	// DigestCacheHits counts Digest calls served from the frozen cache.
-	DigestCacheHits uint64
-	// InternHits counts Intern calls that returned a live canonical
-	// instance. InternMisses counts Intern calls that made their graph
-	// canonical: first-time interns, and re-interns of a form whose
-	// canonical instance was collected (the table holds its graphs
-	// weakly), so a form can miss more than once.
-	InternHits   uint64
-	InternMisses uint64
-	// PoolGets counts scratch-buffer checkouts from the canon/kernel
-	// pools; PoolNews counts the subset that had to allocate a fresh
-	// scratch (a low PoolNews/PoolGets ratio means the pools are doing
-	// their job).
-	PoolGets uint64
-	PoolNews uint64
-	// MaskSpills counts insertions of a >64th symbol into a bitmask set
-	// (the rare spill-slice path of SelSet/PvarSet).
-	MaskSpills uint64
-}
-
-var cacheStats struct {
-	graphsFrozen    atomic.Uint64
-	digestsComputed atomic.Uint64
-	digestHits      atomic.Uint64
-	internHits      atomic.Uint64
-	internMisses    atomic.Uint64
-	poolGets        atomic.Uint64
-	poolNews        atomic.Uint64
-	maskSpills      atomic.Uint64
-}
-
-// ReadCacheStats returns the current counter values.
-func ReadCacheStats() CacheStats {
-	return CacheStats{
-		GraphsFrozen:    cacheStats.graphsFrozen.Load(),
-		DigestsComputed: cacheStats.digestsComputed.Load(),
-		DigestCacheHits: cacheStats.digestHits.Load(),
-		InternHits:      cacheStats.internHits.Load(),
-		InternMisses:    cacheStats.internMisses.Load(),
-		PoolGets:        cacheStats.poolGets.Load(),
-		PoolNews:        cacheStats.poolNews.Load(),
-		MaskSpills:      cacheStats.maskSpills.Load(),
-	}
-}
-
-// Sub returns the counter-wise difference s - base.
-func (s CacheStats) Sub(base CacheStats) CacheStats {
-	return CacheStats{
-		GraphsFrozen:    s.GraphsFrozen - base.GraphsFrozen,
-		DigestsComputed: s.DigestsComputed - base.DigestsComputed,
-		DigestCacheHits: s.DigestCacheHits - base.DigestCacheHits,
-		InternHits:      s.InternHits - base.InternHits,
-		InternMisses:    s.InternMisses - base.InternMisses,
-		PoolGets:        s.PoolGets - base.PoolGets,
-		PoolNews:        s.PoolNews - base.PoolNews,
-		MaskSpills:      s.MaskSpills - base.MaskSpills,
-	}
 }

@@ -53,13 +53,9 @@ func (cs *canonScratch) descriptor(pos int) []byte {
 	return cs.arena[cs.keyOff[pos]:cs.descEnd[pos]]
 }
 
-var canonPool = sync.Pool{New: func() any {
-	cacheStats.poolNews.Add(1)
-	return new(canonScratch)
-}}
+var canonPool = sync.Pool{New: func() any { return new(canonScratch) }}
 
 func getCanonScratch() *canonScratch {
-	cacheStats.poolGets.Add(1)
 	return canonPool.Get().(*canonScratch)
 }
 
@@ -93,13 +89,9 @@ type workScratch struct {
 	edges   []edge
 }
 
-var workPool = sync.Pool{New: func() any {
-	cacheStats.poolNews.Add(1)
-	return new(workScratch)
-}}
+var workPool = sync.Pool{New: func() any { return new(workScratch) }}
 
 func getWorkScratch() *workScratch {
-	cacheStats.poolGets.Add(1)
 	return workPool.Get().(*workScratch)
 }
 

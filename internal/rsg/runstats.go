@@ -2,14 +2,13 @@ package rsg
 
 import "sync/atomic"
 
-// RunStats is a per-run recorder for the digest/freeze/intern counters.
-// The package-global cacheStats tallies are whole-process truth; a
-// process running several analyses at once (the daemon's steady state)
-// cannot attribute a global delta to one run. Callers that want exact
-// attribution allocate one RunStats per run and pass it through the
-// recorder-aware entry points (InternStats, DigestStats); every
-// recorded operation bumps both the recorder and the global counters,
-// so ReadCacheStats stays complete while Snapshot is run-exact.
+// RunStats counts the digest, freeze and intern work done on behalf of
+// one analysis run. It is the package's only tally: there is no
+// process-wide twin, so a process running several analyses at once
+// (the daemon's steady state) still reports each run's own work. The
+// work is recorded by the recorder-aware entry points (InternStats,
+// DigestStats, and the freeze an intern miss performs); Freeze, Digest
+// and Intern record nothing.
 //
 // A nil *RunStats is valid everywhere and records nothing.
 type RunStats struct {
@@ -18,6 +17,31 @@ type RunStats struct {
 	digestHits      atomic.Uint64
 	internHits      atomic.Uint64
 	internMisses    atomic.Uint64
+}
+
+// CacheStats is a snapshot of one RunStats. The intern table's current
+// size is not a counter; InternedGraphs reports it.
+type CacheStats struct {
+	// GraphsFrozen counts the graphs frozen by an intern miss.
+	GraphsFrozen uint64
+	// DigestsComputed counts full digest computations (one per intern of
+	// an unfrozen graph, plus any DigestStats call on an unfrozen graph).
+	DigestsComputed uint64
+	// DigestCacheHits counts DigestStats calls served from the frozen
+	// cache.
+	DigestCacheHits uint64
+	// InternHits counts interns that returned a live canonical instance.
+	// InternMisses counts interns that made their graph canonical:
+	// first-time interns, and re-interns of a form whose canonical
+	// instance was collected (the table holds its graphs weakly), so a
+	// form can miss more than once.
+	InternHits   uint64
+	InternMisses uint64
+	// PoolGets and PoolNews are always 0: the scratch pools are not
+	// counted. The fields stay only because the repository benchmark
+	// (perfbench) still reads them.
+	PoolGets uint64
+	PoolNews uint64
 }
 
 func (r *RunStats) addFrozen() {
@@ -50,11 +74,8 @@ func (r *RunStats) addInternMiss() {
 	}
 }
 
-// Snapshot returns the recorded counters in CacheStats form. Only the
-// per-run-attributable fields are populated; PoolGets/PoolNews/
-// MaskSpills stay zero — the scratch pools and mask spill paths are
-// process-shared infrastructure with no per-run identity, so those
-// tallies remain global-only.
+// Snapshot returns the counters recorded so far; a nil recorder reads
+// all zero.
 func (r *RunStats) Snapshot() CacheStats {
 	if r == nil {
 		return CacheStats{}
@@ -68,23 +89,19 @@ func (r *RunStats) Snapshot() CacheStats {
 	}
 }
 
-// DigestStats is Digest with per-run attribution: the computation (or
-// frozen-cache hit) is recorded into rec as well as the global
-// counters. A nil rec makes it identical to Digest.
+// DigestStats is Digest, counting into rec a digest computation on an
+// unfrozen graph or a cache hit on a frozen one.
 func (g *Graph) DigestStats(rec *RunStats) Digest {
 	if g.frozen {
-		cacheStats.digestHits.Add(1)
 		rec.addDigestHit()
 		return g.digest
 	}
-	cacheStats.digestsComputed.Add(1)
 	rec.addComputed()
 	return computeDigest(g)
 }
 
-// InternStats is Intern with per-run attribution: the digest
-// computation, freeze, and intern hit/miss are recorded into rec as
-// well as the global counters. A nil rec makes it identical to Intern.
+// InternStats is Intern, counting into rec the digest computation, the
+// freeze, and the intern hit or miss.
 func InternStats(g *Graph, rec *RunStats) *Graph {
 	d := g.digest
 	if !g.frozen {

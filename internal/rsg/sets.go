@@ -53,7 +53,6 @@ func (s *bitset) addSym(y Sym) {
 	if i < len(s.spill) && s.spill[i] == y {
 		return
 	}
-	cacheStats.maskSpills.Add(1)
 	next := make([]Sym, len(s.spill)+1)
 	copy(next, s.spill[:i])
 	next[i] = y

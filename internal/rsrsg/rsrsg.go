@@ -25,11 +25,10 @@ type entry struct {
 	alias string
 }
 
-// newEntry freezes and interns g and caches its derived keys. rec,
-// when non-nil, attributes the digest/freeze/intern work to one run
-// (Options.Stats): this is the only place outside the store's decoder
-// where graphs enter the interner, so threading the recorder through
-// here makes per-run cache stats exact under overlapping runs.
+// newEntry freezes and interns g and caches its derived keys, counting
+// the digest/freeze/intern work into rec (Options.Stats): this is the
+// only place outside the store's decoder where graphs enter the
+// interner, so the recorder sees all of one run's interning.
 func newEntry(g *rsg.Graph, rec *rsg.RunStats) entry {
 	g = rsg.InternStats(g, rec)
 	return entry{g: g, dig: g.DigestStats(rec), alias: rsg.AliasKey(g)}
@@ -217,11 +216,10 @@ type Options struct {
 	// operands, so supplying a cache never changes results. The
 	// semi-naïve engine shares one cache per run.
 	Joins *JoinCache
-	// Stats, when non-nil, receives per-run attribution of the rsg
-	// digest/freeze/intern work done on this run's behalf. The rsg
-	// counters are process-global; the recorder is what lets a process
-	// running several analyses at once (the daemon) report exact
-	// per-run cache stats. Recording never changes results.
+	// Stats, when non-nil, counts the rsg digest/freeze/intern work
+	// done on this run's behalf. It is the run's only cache tally, so a
+	// process running several analyses at once (the daemon) still
+	// reports each run's own work. Recording never changes results.
 	Stats *rsg.RunStats
 }
 

@@ -30,23 +30,38 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("shaped: HTTP %d: %s", e.Code, e.Msg)
 }
 
-func (c *Client) post(path string, req, resp any) error {
-	body, err := json.Marshal(req)
+// roundTrip runs one request and decodes a 200 answer into a T: a GET
+// of path when req is nil, a JSON POST of req otherwise. Any other
+// status is a StatusError carrying the body's error message, or the raw
+// body when it has none.
+func roundTrip[T any](c *Client, path string, req any) (*T, error) {
+	method, body := http.MethodGet, io.Reader(nil)
+	if req != nil {
+		data, err := json.Marshal(req)
+		if err != nil {
+			return nil, err
+		}
+		method, body = http.MethodPost, bytes.NewReader(data)
+	}
+	hr, err := http.NewRequest(method, strings.TrimRight(c.BaseURL, "/")+path, body)
 	if err != nil {
-		return err
+		return nil, err
+	}
+	if req != nil {
+		hr.Header.Set("Content-Type", "application/json")
 	}
 	cl := c.HTTP
 	if cl == nil {
 		cl = http.DefaultClient
 	}
-	r, err := cl.Post(strings.TrimRight(c.BaseURL, "/")+path, "application/json", bytes.NewReader(body))
+	r, err := cl.Do(hr)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer r.Body.Close()
 	data, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if r.StatusCode != http.StatusOK {
 		var eb errorBody
@@ -54,50 +69,26 @@ func (c *Client) post(path string, req, resp any) error {
 		if json.Unmarshal(data, &eb) == nil && eb.Error != "" {
 			msg = eb.Error
 		}
-		return &StatusError{Code: r.StatusCode, Msg: msg}
+		return nil, &StatusError{Code: r.StatusCode, Msg: msg}
 	}
-	return json.Unmarshal(data, resp)
+	resp := new(T)
+	if err := json.Unmarshal(data, resp); err != nil {
+		return nil, err
+	}
+	return resp, nil
 }
 
 // Analyze runs one POST /analyze round trip.
 func (c *Client) Analyze(req AnalyzeRequest) (*AnalyzeResponse, error) {
-	var resp AnalyzeResponse
-	if err := c.post("/analyze", req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return roundTrip[AnalyzeResponse](c, "/analyze", req)
 }
 
 // Check runs one POST /check round trip.
 func (c *Client) Check(req CheckRequest) (*CheckResponse, error) {
-	var resp CheckResponse
-	if err := c.post("/check", req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return roundTrip[CheckResponse](c, "/check", req)
 }
 
 // Stats fetches GET /stats.
 func (c *Client) Stats() (*StatsResponse, error) {
-	cl := c.HTTP
-	if cl == nil {
-		cl = http.DefaultClient
-	}
-	r, err := cl.Get(strings.TrimRight(c.BaseURL, "/") + "/stats")
-	if err != nil {
-		return nil, err
-	}
-	defer r.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
-	if err != nil {
-		return nil, err
-	}
-	if r.StatusCode != http.StatusOK {
-		return nil, &StatusError{Code: r.StatusCode, Msg: strings.TrimSpace(string(data))}
-	}
-	var resp StatsResponse
-	if err := json.Unmarshal(data, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return roundTrip[StatsResponse](c, "/stats", nil)
 }

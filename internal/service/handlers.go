@@ -27,9 +27,9 @@ const maxBodyBytes = 4 << 20
 const engineWorkers = 1
 
 // maxConfirmRuns caps CheckRequest.ConfirmRuns at 16x the default. The
-// concrete confirmation runs after the analysis and does not watch the
-// request's timeout, so without a cap one request could hold a worker
-// for hours.
+// request's timeout already ends the concrete confirmation once it has
+// run that long; the cap bounds the client's number on its own, so a
+// request's confirmation work stays bounded whatever timeout it gets.
 const maxConfirmRuns = 1024
 
 // AnalyzeRequest is the POST /analyze payload.
@@ -76,11 +76,9 @@ type AnalyzeResponse struct {
 	ExitDigest string `json:"exit_digest,omitempty"`
 	// StmtDigests maps statement ID to its RSRSG digest (with
 	// AnalyzeRequest.Digests only).
-	StmtDigests map[string]string `json:"stmt_digests,omitempty"`
-	// SharedTallies mirrors analysis.Stats.SharedTallies.
-	SharedTallies bool   `json:"shared_tallies"`
-	CacheSummary  string `json:"cache_summary"`
-	SchedSummary  string `json:"sched_summary"`
+	StmtDigests  map[string]string `json:"stmt_digests,omitempty"`
+	CacheSummary string            `json:"cache_summary"`
+	SchedSummary string            `json:"sched_summary"`
 }
 
 // CheckRequest is the POST /check payload.
@@ -94,7 +92,8 @@ type CheckRequest struct {
 	NodeBudget int   `json:"node_budget,omitempty"`
 	// ConfirmRuns/ConfirmSeed tune the randomized alarm confirmation
 	// (defaults 64 / 1). ConfirmRuns above 1024 is clamped down to it;
-	// a negative value is rejected.
+	// a negative value is rejected. The confirmation also stops once it
+	// has run for the request's timeout.
 	ConfirmRuns int   `json:"confirm_runs,omitempty"`
 	ConfirmSeed int64 `json:"confirm_seed,omitempty"`
 }
@@ -259,7 +258,6 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		Visits:           res.Stats.Visits,
 		DurationUS:       res.Stats.Duration.Microseconds(),
 		ReusedStatements: res.Stats.ReusedStatements,
-		SharedTallies:    res.Stats.SharedTallies,
 		CacheSummary:     res.Stats.CacheSummary(),
 		SchedSummary:     res.Stats.SchedSummary(),
 	}

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/concrete"
@@ -148,7 +149,9 @@ type Options struct {
 	// Analysis.Level is ignored.
 	Analysis analysis.Options
 	// ConfirmRuns is the number of randomized concrete executions used
-	// to confirm surviving alarms (default 64).
+	// to confirm surviving alarms (default 64). When Analysis.Timeout is
+	// set, confirmation also stops once it has run that long; a class no
+	// execution confirmed by then stays Unknown.
 	ConfirmRuns int
 	// ConfirmSeed seeds the confirmation executions (default 1).
 	ConfirmSeed int64
@@ -249,14 +252,23 @@ func Check(prog *ir.Program, opts Options) *Report {
 }
 
 // confirmAlarms searches randomized concrete executions for faults of
-// the given classes and returns one witness per confirmed class.
+// the given classes and returns one witness per confirmed class. It
+// stops after opts.ConfirmRuns executions, or once it has run for
+// opts.Analysis.Timeout when that is set.
 func confirmAlarms(prog *ir.Program, classes []Class, opts Options) map[Class]*triage.Witness {
 	want := make(map[Class]bool, len(classes))
 	for _, c := range classes {
 		want[c] = true
 	}
+	var deadline time.Time
+	if opts.Analysis.Timeout > 0 {
+		deadline = time.Now().Add(opts.Analysis.Timeout)
+	}
 	out := make(map[Class]*triage.Witness)
 	for run := 0; run < opts.ConfirmRuns && len(out) < len(classes); run++ {
+		if !deadline.IsZero() && time.Now().After(deadline) {
+			break
+		}
 		seed := opts.ConfirmSeed + int64(run)
 		tr, err := concrete.RunSeed(prog, seed)
 		if err != nil {

@@ -1,9 +1,13 @@
 package verdict
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/rsg"
 )
 
@@ -57,6 +61,32 @@ func TestCheckSettlesUnsafeWithWitness(t *testing.T) {
 	}
 	if s := rep.String(); !strings.Contains(s, "use-after-free: ") && !strings.Contains(s, "unsafe") {
 		t.Errorf("report string incomplete:\n%s", s)
+	}
+}
+
+// TestConfirmStopsAtTimeout checks that the concrete confirmation ends
+// once it has run for the analysis timeout. No execution confirms the
+// task's use-after-free alarm, so without that stop all 2^18 runs
+// would execute.
+func TestConfirmStopsAtTimeout(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("testdata", "corpus", "uaf_dangling_ref_unknown.c"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := Compile(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	rep := Check(prog, Options{
+		Analysis:    analysis.Options{Timeout: 200 * time.Millisecond},
+		ConfirmRuns: 1 << 18,
+	})
+	if d := time.Since(start); d > 3*time.Second {
+		t.Fatalf("Check took %v with a 200ms timeout", d)
+	}
+	if v := rep.VerdictFor(UseAfterFree); v.Status != Unknown {
+		t.Fatalf("use-after-free = %s, want unknown", v)
 	}
 }
 
