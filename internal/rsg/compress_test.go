@@ -82,6 +82,42 @@ func TestCompressRespectsStructure(t *testing.T) {
 	}
 }
 
+func TestCompressStructureAloneSeparates(t *testing.T) {
+	// Two pvar-less components a1 -s-> a2 and b1 -s-> b2. a1 and b1
+	// agree on every property and on SPATH (both empty), and so do a2
+	// and b2: only STRUCTURE keeps the components apart.
+	build := func() (*Graph, [4]*Node) {
+		g := NewGraph()
+		var ns [4]*Node
+		for i := range ns {
+			ns[i] = g.AddNode(NewNode("t"))
+		}
+		for _, pair := range [][2]*Node{{ns[0], ns[1]}, {ns[2], ns[3]}} {
+			pair[0].MarkDefiniteOut("s")
+			pair[1].MarkDefiniteIn("s")
+			g.AddLink(pair[0].ID, "s", pair[1].ID)
+		}
+		return g, ns
+	}
+	for _, lvl := range []Level{L1, L2, L3} {
+		g, _ := build()
+		if m := Compress(g, lvl); m != 0 {
+			t.Errorf("%s: %d merges across two components:\n%s", lvl, m, g)
+		}
+		// Control: one link joins the components, and the two heads and
+		// the two tails merge.
+		g, ns := build()
+		ns[1].MarkPossibleOut("u")
+		ns[3].MarkPossibleOut("u")
+		g.AddLink(ns[1].ID, "u", ns[2].ID)
+		ns[2].MarkPossibleIn("u")
+		ns[0].MarkPossibleIn("u")
+		if m := Compress(g, lvl); m != 2 || g.NumNodes() != 2 {
+			t.Errorf("%s: one component: %d merges, %d nodes, want 2 and 2:\n%s", lvl, m, g.NumNodes(), g)
+		}
+	}
+}
+
 func TestCompressRespectsShare(t *testing.T) {
 	g, _ := chain(6)
 	// Taint one middle node's share bit: it must stay out of the summary.
