@@ -26,8 +26,10 @@ const goldenDigestFile = "testdata/golden_digests.json"
 
 // goldenFixtures mirrors the determinism suite: fig1 and matvec run to
 // their fixed points (matvec's L3 cell is where TOUCH erasure feeds the
-// transfer path), barneshut and lu run under a visit bound (partial
-// fixed points are just as representation-sensitive and far cheaper).
+// transfer path), barneshut, lu and matmat run under a visit bound
+// (partial fixed points are just as representation-sensitive and far
+// cheaper). matmat is the cell whose result moves when COMPRESS
+// ignores STRUCTURE: at 500 visits its L1 and L2 entries both change.
 var goldenFixtures = []struct {
 	name      string
 	src       func(t *testing.T) *ir.Program
@@ -37,6 +39,7 @@ var goldenFixtures = []struct {
 	{"barneshut", func(t *testing.T) *ir.Program { p, _ := compileKernel(t, "barneshut"); return p }, 300},
 	{"lu", func(t *testing.T) *ir.Program { p, _ := compileKernel(t, "lu"); return p }, 300},
 	{"matvec", func(t *testing.T) *ir.Program { p, _ := compileKernel(t, "matvec"); return p }, 0},
+	{"matmat", func(t *testing.T) *ir.Program { p, _ := compileKernel(t, "matmat"); return p }, 500},
 }
 
 func TestGoldenDigestEquivalence(t *testing.T) {
