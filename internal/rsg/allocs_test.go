@@ -86,18 +86,23 @@ func TestSPathAllocCeiling(t *testing.T) {
 }
 
 func TestCompressAllocCeiling(t *testing.T) {
+	skipUnderRace(t)
 	g := midGraph()
 	avg := testing.AllocsPerRun(100, func() {
 		c := g.Clone()
 		Compress(c, L1)
 	})
 	// Clone + full chain-middle summarization into one shared node.
-	if avg > 260 {
-		t.Fatalf("Clone+Compress of a frozen %d-node graph: %.1f allocs/op, ceiling 260", g.NumNodes(), avg)
+	// Measured 27 allocs/op: Clone's, and MERGE_COMP_NODES's one per
+	// folded member; buckets, union-find, SPATH and the link runs are
+	// pooled scratch. String bucket keys cost 141.
+	if avg > 55 {
+		t.Fatalf("Clone+Compress of a frozen %d-node graph: %.1f allocs/op, ceiling 55", g.NumNodes(), avg)
 	}
 }
 
 func TestJoinAllocCeiling(t *testing.T) {
+	skipUnderRace(t)
 	g1 := midGraph()
 	g2 := midGraph()
 	if !Compatible(L1, g1, g2) {
@@ -106,10 +111,12 @@ func TestJoinAllocCeiling(t *testing.T) {
 	avg := testing.AllocsPerRun(100, func() {
 		_ = Join(L1, g1, g2)
 	})
-	// Measured 34 allocs/op: one per merged node, plus the matching
-	// tables and the presized result.
-	if avg > 70 {
-		t.Fatalf("Join of two frozen %d-node graphs: %.1f allocs/op, ceiling 70", g1.NumNodes(), avg)
+	// Measured 7 allocs/op: the result's shell, its ids, nodes (one
+	// backing array for all of them), PL, outE and inE; the matching,
+	// the ID maps and the link runs are pooled scratch. One allocation
+	// per node cost 34.
+	if avg > 14 {
+		t.Fatalf("Join of two frozen %d-node graphs: %.1f allocs/op, ceiling 14", g1.NumNodes(), avg)
 	}
 }
 

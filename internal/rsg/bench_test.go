@@ -1,6 +1,10 @@
 package rsg
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"testing"
+)
 
 // Micro-benchmarks of the core graph operations; the end-to-end
 // Table 1 and figure benchmarks live in the repository root.
@@ -94,6 +98,57 @@ func BenchmarkJoin(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = Join(L1, g1, g2)
+	}
+}
+
+// wideGraphs returns two Compatible graphs of about 100 links each:
+// out-state graphs of the barneshut kernel's L1 fixed point (22 nodes
+// and 103 links, 23 nodes and 111 links), stored with EncodeFrozen.
+// The chain and list fixtures are too small to show per-link costs.
+func wideGraphs(b *testing.B) (*Graph, *Graph) {
+	load := func(name string) *Graph {
+		raw, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			b.Fatal(err)
+		}
+		g, err := DecodeFrozen(raw)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return g
+	}
+	g1, g2 := load("barneshut_wide_a.rsg"), load("barneshut_wide_b.rsg")
+	if !Compatible(L1, g1, g2) {
+		b.Fatal("wide fixture graphs must be compatible")
+	}
+	return g1, g2
+}
+
+// BenchmarkJoinWide joins the two wide graphs: every node of the first
+// matches one of the second, which keeps one node of its own.
+func BenchmarkJoinWide(b *testing.B) {
+	g1, g2 := wideGraphs(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = Join(L1, g1, g2)
+	}
+}
+
+// BenchmarkCompressWide compresses the larger wide graph with pvar ch
+// cleared: a round with one merge, then the round that merges nothing.
+func BenchmarkCompressWide(b *testing.B) {
+	_, g := wideGraphs(b)
+	in := g.Clone()
+	in.ClearPvar("ch")
+	if m := Compress(in.Clone(), L1); m != 1 {
+		b.Fatalf("fixture compresses with %d merges, want 1", m)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c := in.Clone()
+		b.StartTimer()
+		Compress(c, L1)
 	}
 }
 

@@ -58,9 +58,16 @@ func (d Digest) Less(o Digest) bool {
 // string, accumulating them in pooled scratch.
 func computeDigest(g *Graph) Digest {
 	cs := getCanonScratch()
+	d := digestIn(g, cs)
+	putCanonScratch(cs)
+	return d
+}
+
+// digestIn is computeDigest in the caller's scratch. It leaves g's
+// SPATH sets in cs.spaths, for a freeze to copy out.
+func digestIn(g *Graph, cs *canonScratch) Digest {
 	cs.sig = appendSignature(g, cs.sig[:0], cs)
 	sum := sha256.Sum256(cs.sig)
-	putCanonScratch(cs)
 	var d Digest
 	copy(d[:], sum[:16])
 	return d

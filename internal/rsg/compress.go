@@ -1,6 +1,9 @@
 package rsg
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Compress applies the paper's COMPRESS function (Sect. 3.1) to the
 // graph in place: every maximal group of chain-compatible nodes
@@ -25,26 +28,25 @@ func compressOnce(g *Graph, lvl Level) int {
 	if n < 2 {
 		return 0
 	}
-	spaths := g.spathSets()
-	structure := g.StructureOf()
+	ws := getWorkScratch()
+	defer putWorkScratch(ws)
 
-	// Bucket by the equality-checked properties so the pairwise
-	// C_NODES_RSG tests only run within plausible groups. Buckets hold
-	// node positions; the slices stay valid because nothing is removed
-	// until the groups are summarized.
-	buckets := make(map[string][]int)
-	var order []string
-	for pos, id := range g.ids {
-		key := g.nodes[pos].propertyKey() + "|" + structure[id]
-		if _, ok := buckets[key]; !ok {
-			order = append(order, key)
-		}
-		buckets[key] = append(buckets[key], pos)
+	// Bucket by component and by the equality-checked properties, so the
+	// pairwise C_NODES_RSG tests only run within plausible groups. Equal
+	// STRUCTURE is equal component (DESIGN.md §10). Sorting puts each
+	// (component, property hash) bucket in one run, positions ascending.
+	ws.comp = g.components(ws.comp)
+	ws.buckets = ws.buckets[:0]
+	for pos, nd := range g.nodes {
+		ws.buckets = append(ws.buckets, bucketEntry{hash: summaryHash(nd), comp: ws.comp[pos], pos: int32(pos)})
 	}
+	slices.SortFunc(ws.buckets, compareBuckets)
 
 	// Union-find for chain compatibility (the paper summarizes chains
-	// n1..nk with C_NODES_RSG(n_i, n_{i+1}) for consecutive pairs).
-	parent := make([]int32, n)
+	// n1..nk with C_NODES_RSG(n_i, n_{i+1}) for consecutive pairs). The
+	// smaller root wins, so every group's root is its smallest position.
+	parent := growInt32(ws.parent, n)
+	ws.parent = parent
 	for i := range parent {
 		parent[i] = int32(i)
 	}
@@ -56,18 +58,32 @@ func compressOnce(g *Graph, lvl Level) int {
 		return x
 	}
 
+	// SPATH is built only once some pair has passed the property check:
+	// the last round of every Compress usually gets by without it.
+	var spaths []SPathSet
 	merges := 0
-	for _, key := range order {
-		group := buckets[key]
-		for i := 0; i < len(group); i++ {
-			for j := i + 1; j < len(group); j++ {
-				a, b := group[i], group[j]
-				if find(int32(a)) == find(int32(b)) {
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && ws.buckets[hi].comp == ws.buckets[lo].comp && ws.buckets[hi].hash == ws.buckets[lo].hash {
+			hi++
+		}
+		run := ws.buckets[lo:hi]
+		lo = hi
+		for i := 0; i < len(run); i++ {
+			for j := i + 1; j < len(run); j++ {
+				a, b := run[i].pos, run[j].pos
+				if find(a) == find(b) {
 					continue
 				}
 				na, nb := g.nodes[a], g.nodes[b]
-				if CNodesRSG(lvl, na, nb, spaths[a], spaths[b], structure[na.ID], structure[nb.ID]) {
-					ra, rb := find(int32(a)), find(int32(b))
+				if !sameSummaryProperties(na, nb) {
+					continue // a hash collision
+				}
+				if spaths == nil {
+					spaths = ws.spathSets(g)
+				}
+				if CNodesRSG(lvl, na, nb, spaths[a], spaths[b], ws.comp[a], ws.comp[b]) {
+					ra, rb := find(a), find(b)
 					if ra < rb {
 						parent[rb] = ra
 					} else {
@@ -83,67 +99,157 @@ func compressOnce(g *Graph, lvl Level) int {
 	}
 
 	// Collect the groups, processed in ascending root position so the
-	// fresh summary-node IDs are assigned deterministically.
-	groupsByRoot := make(map[int32][]*Node)
-	var roots []int32
-	for pos := range g.ids {
-		r := find(int32(pos))
-		if _, ok := groupsByRoot[r]; !ok {
-			roots = append(roots, r)
-		}
-		groupsByRoot[r] = append(groupsByRoot[r], g.nodes[pos])
+	// fresh summary-node IDs are assigned deterministically. Members are
+	// collected by ID before anything moves: ws.nodeIDs holds every
+	// group of two or more back to back, ws.stack where each one ends.
+	for i := range ws.buckets {
+		ws.buckets[i] = bucketEntry{comp: find(int32(i)), pos: int32(i)}
 	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
-	for _, r := range roots {
-		members := groupsByRoot[r]
-		if len(members) < 2 {
-			continue
+	slices.SortFunc(ws.buckets, compareBuckets)
+	ws.nodeIDs, ws.stack = ws.nodeIDs[:0], ws.stack[:0]
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && ws.buckets[hi].comp == ws.buckets[lo].comp {
+			hi++
 		}
-		summarizeGroup(g, members)
+		if hi-lo > 1 {
+			for _, b := range ws.buckets[lo:hi] {
+				ws.nodeIDs = append(ws.nodeIDs, g.ids[b.pos])
+			}
+			ws.stack = append(ws.stack, len(ws.nodeIDs))
+		}
+		lo = hi
 	}
+	summarizeGroups(g, ws)
 	return merges
 }
 
-// summarizeGroup replaces the member nodes by one summary node,
-// retargeting PL and NL (the MAP_RSG of the paper).
-func summarizeGroup(g *Graph, members []*Node) {
-	merged := MergeCompNodes(g, members, true)
-	memberIDs := make([]NodeID, len(members))
-	for i, m := range members {
-		memberIDs[i] = m.ID
-	}
-	sort.Slice(memberIDs, func(i, j int) bool { return memberIDs[i] < memberIDs[j] })
-	inGroup := func(id NodeID) bool {
-		i := sort.Search(len(memberIDs), func(i int) bool { return memberIDs[i] >= id })
-		return i < len(memberIDs) && memberIDs[i] == id
-	}
+// bucketEntry places one node position in COMPRESS's bucket order:
+// by component, then by property hash, then by position.
+type bucketEntry struct {
+	hash uint64
+	comp int32
+	pos  int32
+}
 
-	// Gather the remapped links and pvar references before mutating.
-	var touching []edge
-	for _, e := range g.outE {
-		if inGroup(e.a) || inGroup(e.b) {
-			touching = append(touching, e)
+func compareBuckets(x, y bucketEntry) int {
+	if x.comp != y.comp {
+		return cmp.Compare(x.comp, y.comp)
+	}
+	if x.hash != y.hash {
+		return cmp.Compare(x.hash, y.hash)
+	}
+	return cmp.Compare(x.pos, y.pos)
+}
+
+// summaryHash hashes the intrinsic properties C_NODES_RSG compares:
+// TYPE, SHARED, SHSEL, SELIN, SELOUT and TOUCH. TOUCH counts at every
+// level, so nodes that differ only in TOUCH are never summarized, L1
+// and L2 included. Equal properties hash equally; sameSummaryProperties
+// confirms every candidate pair, so a collision costs one comparison.
+func summaryHash(n *Node) uint64 {
+	h := uint64(14695981039346656037) // FNV-1a over TYPE
+	for i := 0; i < len(n.Type); i++ {
+		h = (h ^ uint64(n.Type[i])) * 1099511628211
+	}
+	if n.Shared {
+		h = mix64(h ^ 1)
+	}
+	h = n.ShSel.b.hash(h)
+	h = n.SelIn.b.hash(h)
+	h = n.SelOut.b.hash(h)
+	return n.Touch.b.hash(h)
+}
+
+// sameSummaryProperties reports whether two nodes agree on every
+// property summaryHash hashes.
+func sameSummaryProperties(a, b *Node) bool {
+	return a.Type == b.Type && a.Shared == b.Shared &&
+		a.ShSel.Equal(b.ShSel) && a.SelIn.Equal(b.SelIn) &&
+		a.SelOut.Equal(b.SelOut) && a.Touch.Equal(b.Touch)
+}
+
+// summarizeGroups replaces every group of members by one summary node,
+// retargeting PL and NL (the MAP_RSG of the paper). ws.nodeIDs holds
+// the groups' member IDs back to back, ascending within a group, and
+// ws.stack where each group ends; the summary nodes take fresh IDs in
+// group order. One pass over each slice leaves the graph that
+// summarizing the groups one at a time would (DESIGN.md §10).
+func summarizeGroups(g *Graph, ws *workScratch) {
+	g.mustMutate("Compress")
+	// Every summary node is built on the unchanged graph. MERGE_NODES
+	// reads the members' properties and the selectors they link
+	// through, and summarizing another group changes neither.
+	sumOf := growNodeIDs(ws.map1, int(g.nextID)+1) // member ID -> summary ID, 0 for others
+	ws.map1 = sumOf
+	clear(sumOf)
+	start := 0
+	for k, end := range ws.stack {
+		ws.nodes = ws.nodes[:0]
+		for _, id := range ws.nodeIDs[start:end] {
+			ws.nodes = append(ws.nodes, g.Node(id))
+			sumOf[id] = g.nextID + NodeID(k) + 1
 		}
+		ws.summaries = append(ws.summaries, MergeCompNodes(g, ws.nodes, true))
+		start = end
 	}
-	var pvars []string
-	for _, m := range members {
-		pvars = append(pvars, g.PvarsOf(m.ID)...)
-	}
-
-	node := g.AddNode(merged)
 	mapID := func(id NodeID) NodeID {
-		if inGroup(id) {
-			return node.ID
+		if s := sumOf[id]; s != 0 {
+			return s
 		}
 		return id
 	}
-	for _, e := range touching {
-		g.AddLinkSym(mapID(e.a), e.sel, mapID(e.b))
+
+	// NL: links between two non-members keep their place; the others
+	// are retargeted, sorted, deduplicated and merged back in. A
+	// retargeted link ends at a summary node, so it equals no kept one.
+	snap := selTab.load()
+	kept := 0
+	ws.run1 = ws.run1[:0]
+	for _, e := range g.outE {
+		if sumOf[e.a] == 0 && sumOf[e.b] == 0 {
+			g.outE[kept] = e
+			kept++
+		} else {
+			ws.run1 = append(ws.run1, edge{mapID(e.a), e.sel, mapID(e.b)})
+		}
 	}
-	for _, p := range pvars {
-		g.SetPvar(p, node.ID)
+	slices.SortFunc(ws.run1, func(x, y edge) int { return compareOut(snap, x, y) })
+	ws.run1 = slices.Compact(ws.run1)
+	ws.merged = mergeEdges(snap, ws.merged, g.outE[:kept], ws.run1, compareOut)
+	g.outE = append(g.outE[:0], ws.merged...)
+
+	kept = 0
+	for _, e := range g.inE {
+		if sumOf[e.a] == 0 && sumOf[e.b] == 0 {
+			g.inE[kept] = e
+			kept++
+		}
 	}
-	for _, id := range memberIDs {
-		g.RemoveNode(id)
+	ws.run2 = ws.run2[:0]
+	for _, e := range ws.run1 {
+		ws.run2 = append(ws.run2, edge{e.b, e.sel, e.a})
+	}
+	slices.SortFunc(ws.run2, func(x, y edge) int { return compareIn(snap, x, y) })
+	ws.merged = mergeEdges(snap, ws.merged, g.inE[:kept], ws.run2, compareIn)
+	g.inE = append(g.inE[:0], ws.merged...)
+
+	// PL keeps its pvar order; only the targets move.
+	for i, e := range g.pl {
+		g.pl[i].id = mapID(e.id)
+	}
+
+	// The members leave, and the summary nodes follow the survivors.
+	kept = 0
+	for i, id := range g.ids {
+		if sumOf[id] == 0 {
+			g.ids[kept], g.nodes[kept] = id, g.nodes[i]
+			kept++
+		}
+	}
+	clear(g.nodes[kept:])
+	g.ids, g.nodes = g.ids[:kept], g.nodes[:kept]
+	for _, n := range ws.summaries {
+		g.AddNode(n)
 	}
 }

@@ -130,9 +130,12 @@ func CNodesJoin(lvl Level, n1, n2 *Node, sp1, sp2 SPathSet) bool {
 
 // CNodesRSG is the paper's C_NODES_RSG(n1, n2) predicate (Sect. 3.1),
 // used to decide whether two nodes of the *same* RSG are summarized by
-// COMPRESS. It is C_NODES plus the STRUCTURE requirement.
-func CNodesRSG(lvl Level, n1, n2 *Node, sp1, sp2 SPathSet, st1, st2 string) bool {
-	if st1 != st2 {
+// COMPRESS. It is C_NODES plus the STRUCTURE requirement: comp1 and
+// comp2 are the nodes' components as Graph.components numbers them,
+// and two nodes have the same STRUCTURE exactly when they are in the
+// same component.
+func CNodesRSG(lvl Level, n1, n2 *Node, sp1, sp2 SPathSet, comp1, comp2 int32) bool {
+	if comp1 != comp2 {
 		return false
 	}
 	return CNodes(lvl, n1, n2, sp1, sp2)

@@ -1,9 +1,6 @@
 package rsg
 
-import (
-	"sort"
-	"strings"
-)
+import "sort"
 
 // SPathOf computes the SPATH derived property of a node: the set of
 // access paths of length <= 1 from pvars to it (Sect. 3). The
@@ -95,77 +92,42 @@ func (g *Graph) spathSets() []SPathSet {
 	return sets
 }
 
-// StructureOf computes the STRUCTURE derived property for every node:
-// an identifier of the weakly-connected component the node belongs to,
-// keyed by the sorted set of pvars that can reach the component. Nodes
-// of different components are never summarized ("Structure avoids the
-// summarization of nodes representing non-connected components").
-func (g *Graph) StructureOf() map[NodeID]string {
-	// Union-find over undirected adjacency, on node positions.
-	n := len(g.ids)
-	parent := make([]int32, n)
-	for i := range parent {
-		parent[i] = int32(i)
+// components computes the STRUCTURE derived property (Sect. 3):
+// "Structure avoids the summarization of nodes representing
+// non-connected components". It returns, for each position, the
+// smallest position of the node's weakly-connected component, reusing
+// comp's capacity. Equal STRUCTURE is equal component (DESIGN.md §10).
+func (g *Graph) components(comp []int32) []int32 {
+	comp = growInt32(comp, len(g.ids))
+	for i := range comp {
+		comp[i] = int32(i)
 	}
 	find := func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
+		for comp[x] != x {
+			comp[x] = comp[comp[x]]
+			x = comp[x]
 		}
 		return x
 	}
+	// Union over NL; the smaller root wins, so a root is its component's
+	// smallest position. outE is sorted by source, as ids is, so the
+	// source position only ever moves forward.
+	src := 0
 	for _, e := range g.outE {
-		ra, rb := find(int32(g.posOf(e.a))), find(int32(g.posOf(e.b)))
-		if ra != rb {
-			if ra < rb {
-				parent[rb] = ra
-			} else {
-				parent[ra] = rb
-			}
+		for g.ids[src] != e.a {
+			src++
+		}
+		ra, rb := find(int32(src)), find(int32(g.posOf(e.b)))
+		if ra < rb {
+			comp[rb] = ra
+		} else if rb < ra {
+			comp[ra] = rb
 		}
 	}
-	// Collect, per component, the sorted pvars anchored in it.
-	pvarsByRoot := make(map[int32][]string)
-	for _, e := range g.pl {
-		r := find(int32(g.posOf(e.id)))
-		pvarsByRoot[r] = append(pvarsByRoot[r], pvarTab.name(e.sym))
+	for i := range comp {
+		comp[i] = find(int32(i))
 	}
-	out := make(map[NodeID]string, n)
-	for i, id := range g.ids {
-		r := find(int32(i))
-		ps := pvarsByRoot[r]
-		sort.Strings(ps)
-		if len(ps) == 0 {
-			// Unreachable component: identify by its root id so distinct
-			// garbage components stay distinct until collected.
-			out[id] = "#" + itoa(int(g.ids[r]))
-			continue
-		}
-		out[id] = strings.Join(ps, ",")
-	}
-	return out
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
+	return comp
 }
 
 // Reachable returns the set of nodes reachable from any pvar by

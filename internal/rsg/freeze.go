@@ -22,23 +22,49 @@ func (g *Graph) Freeze() *Graph {
 	if g.frozen {
 		return g
 	}
-	return g.freezeWithDigest(computeDigest(g), nil)
+	cs := getCanonScratch()
+	defer putCanonScratch(cs)
+	return g.freezeWithDigest(digestIn(g, cs), cs, nil)
 }
 
 // freezeWithDigest freezes g reusing an already-computed digest (Intern
-// probes the digest before deciding whether the freeze is needed). The
-// flat encoding already *is* the sorted view, so besides the digest,
-// freezing pins only what the RSRSG reduction reads per graph pair: the
-// alias key and the positional SPATH sets. Views only output code reads,
+// probes the digest before deciding whether the freeze is needed),
+// computed in cs. The flat encoding already *is* the sorted view, so
+// besides the digest, freezing pins only what the RSRSG reduction reads
+// per graph pair: the alias key and the positional SPATH sets, copied
+// out of the ones the digest built in cs. Views only output code reads,
 // such as Links and Pvars, are computed on demand. rec counts the
 // freeze.
-func (g *Graph) freezeWithDigest(d Digest, rec *RunStats) *Graph {
+func (g *Graph) freezeWithDigest(d Digest, cs *canonScratch, rec *RunStats) *Graph {
 	g.cAlias = aliasKey(g)
-	g.cSPaths = g.spathSets()
+	g.cSPaths = copySPathSets(cs.spaths)
 	g.frozen = true
 	g.digest = d
 	rec.addFrozen()
 	return g
+}
+
+// copySPathSets returns a copy of sets, laid out as spathsByPos lays
+// them out: each set a full window of one backing array, in position
+// order.
+func copySPathSets(sets []SPathSet) []SPathSet {
+	out := make([]SPathSet, len(sets))
+	total := 0
+	for _, s := range sets {
+		total += len(s.paths)
+	}
+	if total == 0 {
+		return out
+	}
+	paths := make([]SPath, 0, total)
+	for i, s := range sets {
+		if len(s.paths) > 0 {
+			off := len(paths)
+			paths = append(paths, s.paths...)
+			out[i].paths = paths[off:len(paths):len(paths)]
+		}
+	}
+	return out
 }
 
 // Frozen reports whether the graph has been frozen.

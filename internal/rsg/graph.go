@@ -1,6 +1,7 @@
 package rsg
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strings"
@@ -263,6 +264,31 @@ func outLess(snap *symSnap, x, y edge) bool {
 		return snap.rank[x.sel-1] < snap.rank[y.sel-1]
 	}
 	return x.b < y.b
+}
+
+// compareOut orders edges as outLess does, as a three-way comparison.
+func compareOut(snap *symSnap, x, y edge) int {
+	if x.a != y.a {
+		return cmp.Compare(x.a, y.a)
+	}
+	if x.sel != y.sel {
+		return cmp.Compare(snap.rank[x.sel-1], snap.rank[y.sel-1])
+	}
+	return cmp.Compare(x.b, y.b)
+}
+
+// compareIn orders edges as inLess does, as a three-way comparison.
+func compareIn(snap *symSnap, x, y edge) int {
+	if x.a != y.a {
+		return cmp.Compare(x.a, y.a)
+	}
+	if x.b != y.b {
+		return cmp.Compare(x.b, y.b)
+	}
+	if x.sel == y.sel {
+		return 0
+	}
+	return cmp.Compare(snap.rank[x.sel-1], snap.rank[y.sel-1])
 }
 
 func inLess(snap *symSnap, x, y edge) bool {

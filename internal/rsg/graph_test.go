@@ -146,15 +146,21 @@ func TestStructureOf(t *testing.T) {
 	g.SetPvar("y", c.ID)
 	g.AddLink(a.ID, "s", b.ID)
 
-	st := g.StructureOf()
-	if st[a.ID] != st[b.ID] {
+	st := func(id NodeID) int32 { return g.components(nil)[g.posOf(id)] }
+	if st(a.ID) != st(b.ID) {
 		t.Error("connected nodes must share a structure id")
 	}
-	if st[a.ID] == st[c.ID] {
+	if st(a.ID) == st(c.ID) {
 		t.Error("separate components must have different structure ids")
 	}
-	if st[c.ID] == st[d.ID] {
+	if st(c.ID) == st(d.ID) {
 		t.Error("unreachable node must not share y's structure")
+	}
+	// A link into a smaller position still names the component by its
+	// smallest position, whichever way the link points.
+	g.AddLink(d.ID, "s", a.ID)
+	if st(d.ID) != int32(g.posOf(a.ID)) || st(b.ID) != int32(g.posOf(a.ID)) {
+		t.Errorf("component roots %v, want every node of {a, b, d} rooted at a", g.components(nil))
 	}
 }
 

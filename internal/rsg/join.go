@@ -1,6 +1,7 @@
 package rsg
 
 import (
+	"slices"
 	"sort"
 	"strings"
 )
@@ -78,12 +79,16 @@ func CompatibleSP(lvl Level, g1, g2 *Graph) bool {
 func Join(lvl Level, g1, g2 *Graph) *Graph {
 	sp1, sp2 := g1.spathSets(), g2.spathSets()
 	n1len, n2len := len(g1.ids), len(g2.ids)
+	ws := getWorkScratch()
+	defer putWorkScratch(ws)
 
-	match := make([]int, n1len) // g1 pos -> g2 pos, -1 unmatched
+	match := growInt32(ws.match, n1len) // g1 pos -> g2 pos, -1 unmatched
+	ws.match = match
 	for i := range match {
 		match[i] = -1
 	}
-	taken := make([]bool, n2len) // matched g2 positions
+	ws.marks = growBool(ws.marks, n2len) // matched g2 positions
+	taken := ws.marks
 
 	// Pass 1: force-match pvar targets (alias groups correspond 1:1).
 	for _, e := range g1.pl {
@@ -96,7 +101,7 @@ func Join(lvl Level, g1, g2 *Graph) *Graph {
 			continue
 		}
 		p2 := g2.posOf(t2.ID)
-		match[p1] = p2
+		match[p1] = int32(p2)
 		taken[p2] = true
 	}
 
@@ -111,56 +116,140 @@ func Join(lvl Level, g1, g2 *Graph) *Graph {
 				continue
 			}
 			if CNodes(lvl, node1, g2.nodes[p2], sp1[p1], sp2[p2]) {
-				match[p1] = p2
+				match[p1] = int32(p2)
 				taken[p2] = true
 				break
 			}
 		}
 	}
 
-	// Presized for every node and link of both operands, so AddNode and
-	// AddLinkSym never grow a slice.
-	nl := len(g1.outE) + len(g2.outE)
-	out := &Graph{
-		ids:   make([]NodeID, 0, n1len+n2len),
-		nodes: make([]*Node, 0, n1len+n2len),
-		outE:  make([]edge, 0, nl),
-		inE:   make([]edge, 0, nl),
+	// Sized for every out node, so AddNode never grows a slice, and one
+	// backing array holds every node, as in Clone.
+	outLen := n1len
+	for _, t := range taken {
+		if !t {
+			outLen++
+		}
 	}
-	map1 := make([]NodeID, n1len) // g1 pos -> out ID
-	map2 := make([]NodeID, n2len) // g2 pos -> out ID
+	out := &Graph{
+		ids:   make([]NodeID, 0, outLen),
+		nodes: make([]*Node, 0, outLen),
+	}
+	backing := make([]Node, outLen)
+	// map1 and map2 take an operand's node ID to its out ID.
+	map1 := growNodeIDs(ws.map1, int(g1.nextID)+1)
+	map2 := growNodeIDs(ws.map2, int(g2.nextID)+1)
+	ws.map1, ws.map2 = map1, map2
 
 	for p1 := 0; p1 < n1len; p1++ {
-		node1 := g1.nodes[p1]
+		nn := &backing[p1]
 		if p2 := match[p1]; p2 >= 0 {
-			merged := MergeNodes(g1, node1, g2, g2.nodes[p2], false)
-			nn := out.AddNode(merged)
-			map1[p1] = nn.ID
-			map2[p2] = nn.ID
+			*nn = mergeNodes(g1, g1.nodes[p1], g2, g2.nodes[p2], false)
+			map2[g2.ids[p2]] = out.AddNode(nn).ID
 		} else {
-			nn := out.AddNode(node1.Clone())
-			map1[p1] = nn.ID
+			*nn = *g1.nodes[p1]
+			out.AddNode(nn)
 		}
+		map1[g1.ids[p1]] = nn.ID
 	}
 	for p2 := 0; p2 < n2len; p2++ {
 		if taken[p2] {
 			continue
 		}
-		nn := out.AddNode(g2.nodes[p2].Clone())
-		map2[p2] = nn.ID
+		nn := &backing[len(out.ids)]
+		*nn = *g2.nodes[p2]
+		map2[g2.ids[p2]] = out.AddNode(nn).ID
 	}
 
 	for _, e := range g1.pl {
-		out.SetPvarSym(e.sym, map1[g1.posOf(e.id)])
+		out.SetPvarSym(e.sym, map1[e.id])
 	}
 	for _, e := range g2.pl {
-		out.SetPvarSym(e.sym, map2[g2.posOf(e.id)])
+		out.SetPvarSym(e.sym, map2[e.id])
 	}
-	for _, e := range g1.outE {
-		out.AddLinkSym(map1[g1.posOf(e.a)], e.sel, map1[g1.posOf(e.b)])
-	}
-	for _, e := range g2.outE {
-		out.AddLinkSym(map2[g2.posOf(e.a)], e.sel, map2[g2.posOf(e.b)])
-	}
+
+	// NL is the union of both operands' translated links (DESIGN.md
+	// §10). g1's nodes took out IDs 1..n1 in position order, so map1 is
+	// increasing and g1's translated slices are already sorted; map2 is
+	// injective, so g2's hold no duplicates once sorted. Merging the two
+	// sorted runs, one copy of a link both operands map to, gives the
+	// slices that inserting link by link would.
+	snap := selTab.load()
+	ws.run1 = translateEdges(ws.run1, g1.outE, map1)
+	ws.run2, ws.counts = sortTranslated(snap, ws.run2, ws.counts, g2.outE, map2, out.nextID, compareOut)
+	ws.merged = mergeEdges(snap, ws.merged, ws.run1, ws.run2, compareOut)
+	out.outE = append(make([]edge, 0, len(ws.merged)), ws.merged...)
+	ws.run1 = translateEdges(ws.run1, g1.inE, map1)
+	ws.run2, ws.counts = sortTranslated(snap, ws.run2, ws.counts, g2.inE, map2, out.nextID, compareIn)
+	ws.merged = mergeEdges(snap, ws.merged, ws.run1, ws.run2, compareIn)
+	out.inE = append(make([]edge, 0, len(ws.merged)), ws.merged...)
 	return out
+}
+
+// translateEdges fills dst with edges, both endpoints mapped through m.
+func translateEdges(dst, edges []edge, m []NodeID) []edge {
+	dst = dst[:0]
+	for _, e := range edges {
+		dst = append(dst, edge{m[e.a], e.sel, m[e.b]})
+	}
+	return dst
+}
+
+// sortTranslated fills dst with edges, a sorted edge slice, translated
+// through the injective map m into IDs at most maxID and sorted under
+// compare. Translation keeps each run of equal first endpoint whole, so
+// a stable counting sort by the translated first endpoint orders the
+// runs, and an insertion sort finishes each run: runs are short, and
+// within one only the translated second endpoint can be out of order.
+// counts is scratch, returned to keep its capacity.
+func sortTranslated(snap *symSnap, dst []edge, counts []int32, edges []edge, m []NodeID, maxID NodeID, compare func(*symSnap, edge, edge) int) ([]edge, []int32) {
+	counts = growInt32(counts, int(maxID)+2)
+	clear(counts)
+	for _, e := range edges {
+		counts[m[e.a]+1]++
+	}
+	for i := 1; i < len(counts); i++ {
+		counts[i] += counts[i-1]
+	}
+	// counts[a] is where the run of a starts; it advances as it fills.
+	dst = slices.Grow(dst[:0], len(edges))[:len(edges)]
+	for _, e := range edges {
+		a := m[e.a]
+		dst[counts[a]] = edge{a, e.sel, m[e.b]}
+		counts[a]++
+	}
+	for lo := 0; lo < len(dst); {
+		hi := lo + 1
+		for ; hi < len(dst) && dst[hi].a == dst[lo].a; hi++ {
+			for j := hi; j > lo && compare(snap, dst[j-1], dst[j]) > 0; j-- {
+				dst[j-1], dst[j] = dst[j], dst[j-1]
+			}
+		}
+		lo = hi
+	}
+	return dst, counts
+}
+
+// mergeEdges fills dst with the union of two runs sorted under compare,
+// keeping one copy of an edge in both. Neither run may hold a duplicate
+// of its own.
+func mergeEdges(snap *symSnap, dst, x, y []edge, compare func(*symSnap, edge, edge) int) []edge {
+	dst = dst[:0]
+	i, j := 0, 0
+	for i < len(x) && j < len(y) {
+		switch c := compare(snap, x[i], y[j]); {
+		case c < 0:
+			dst = append(dst, x[i])
+			i++
+		case c > 0:
+			dst = append(dst, y[j])
+			j++
+		default:
+			dst = append(dst, x[i])
+			i++
+			j++
+		}
+	}
+	dst = append(dst, x[i:]...)
+	return append(dst, y[j:]...)
 }

@@ -26,7 +26,14 @@ package rsg
 // loses the Singleton flag. Across graphs (JOIN) the merged node is
 // still a per-configuration singleton when both inputs are.
 func MergeNodes(g1 *Graph, n1 *Node, g2 *Graph, n2 *Node, intraGraph bool) *Node {
-	n := NewNode(n1.Type)
+	n := mergeNodes(g1, n1, g2, n2, intraGraph)
+	return &n
+}
+
+// mergeNodes is MergeNodes returning the node by value, for a caller
+// that places it in a batch.
+func mergeNodes(g1 *Graph, n1 *Node, g2 *Graph, n2 *Node, intraGraph bool) Node {
+	n := Node{Type: n1.Type}
 
 	n.Singleton = n1.Singleton && n2.Singleton && !intraGraph
 

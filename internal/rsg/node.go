@@ -137,29 +137,6 @@ func (n *Node) ClearInSym(sel Sym) {
 	n.PosSelIn.RemoveSym(sel)
 }
 
-// propertyKey returns a deterministic string encoding of the node's
-// summarization-relevant intrinsic properties (everything C_NODES_RSG
-// compares except STRUCTURE and SPATH, which depend on the graph).
-func (n *Node) propertyKey() string {
-	buf := make([]byte, 0, 64)
-	buf = append(buf, n.Type...)
-	buf = append(buf, '|')
-	if n.Shared {
-		buf = append(buf, 'S')
-	} else {
-		buf = append(buf, 's')
-	}
-	buf = append(buf, '|')
-	buf = n.ShSel.appendTo(buf)
-	buf = append(buf, '|')
-	buf = n.SelIn.appendTo(buf)
-	buf = append(buf, '|')
-	buf = n.SelOut.appendTo(buf)
-	buf = append(buf, '|')
-	buf = n.Touch.appendTo(buf)
-	return string(buf)
-}
-
 // String renders a compact human-readable description of the node.
 func (n *Node) String() string {
 	var flags []string

@@ -80,13 +80,34 @@ func putCanonScratch(cs *canonScratch) {
 }
 
 // workScratch is the reusable working state of the mutation kernels
-// (PRUNE, garbage collection, COMPRESS). Same pool discipline as
+// (PRUNE, garbage collection, COMPRESS, JOIN). Same pool discipline as
 // canonScratch: single-goroutine use between get/put, nothing escapes.
 type workScratch struct {
 	marks   []bool
 	stack   []int
 	nodeIDs []NodeID
 	edges   []edge
+
+	// COMPRESS: component roots, the union-find of compatible pairs,
+	// the bucket order and the lazily built SPATH sets.
+	comp    []int32
+	parent  []int32
+	buckets []bucketEntry
+	spaths  []SPathSet
+	paths   []SPath
+	counts  []int32
+
+	// COMPRESS's summarization: one group's member nodes, and the
+	// summary nodes.
+	nodes     []*Node
+	summaries []*Node
+
+	// JOIN: the matching and each operand's node ID -> out ID table
+	// (map1 is COMPRESS's member ID -> summary ID table too); both: the
+	// translated and merged link runs.
+	match              []int32
+	map1, map2         []NodeID
+	run1, run2, merged []edge
 }
 
 var workPool = sync.Pool{New: func() any { return new(workScratch) }}
@@ -96,17 +117,51 @@ func getWorkScratch() *workScratch {
 }
 
 func putWorkScratch(ws *workScratch) {
+	// The SPATH sets, their backing array and the node lists hold
+	// pointers: clear them.
+	clear(ws.spaths)
+	clear(ws.paths)
+	clear(ws.nodes[:cap(ws.nodes)])
+	clear(ws.summaries[:cap(ws.summaries)])
+	ws.nodes, ws.summaries = ws.nodes[:0], ws.summaries[:0]
 	ws.marks = ws.marks[:0]
 	ws.stack = ws.stack[:0]
 	ws.nodeIDs = ws.nodeIDs[:0]
 	ws.edges = ws.edges[:0]
+	ws.comp = ws.comp[:0]
+	ws.parent = ws.parent[:0]
+	ws.buckets = ws.buckets[:0]
+	ws.spaths = ws.spaths[:0]
+	ws.paths = ws.paths[:0]
+	ws.counts = ws.counts[:0]
+	ws.match = ws.match[:0]
+	ws.map1, ws.map2 = ws.map1[:0], ws.map2[:0]
+	ws.run1, ws.run2, ws.merged = ws.run1[:0], ws.run2[:0], ws.merged[:0]
 	workPool.Put(ws)
+}
+
+// spathSets returns the SPATH of every node of g, parallel to g.ids,
+// built in the scratch's buffers: valid until the scratch is put back.
+func (ws *workScratch) spathSets(g *Graph) []SPathSet {
+	if g.frozen {
+		return g.cSPaths
+	}
+	ws.spaths = growSPathSets(ws.spaths, len(g.ids))
+	ws.paths, ws.counts = g.spathsByPos(ws.spaths, ws.paths, ws.counts)
+	return ws.spaths
 }
 
 // grow returns s resized to n, reusing capacity.
 func growInt32(s []int32, n int) []int32 {
 	if cap(s) < n {
 		return make([]int32, n)
+	}
+	return s[:n]
+}
+
+func growNodeIDs(s []NodeID, n int) []NodeID {
+	if cap(s) < n {
+		return make([]NodeID, n)
 	}
 	return s[:n]
 }

@@ -104,8 +104,14 @@ func (g *Graph) DigestStats(rec *RunStats) Digest {
 // freeze, and the intern hit or miss.
 func InternStats(g *Graph, rec *RunStats) *Graph {
 	d := g.digest
+	var cs *canonScratch
 	if !g.frozen {
-		d = g.DigestStats(rec)
+		// The scratch outlives the probe: a miss freezes g with the
+		// SPATH sets the digest built there.
+		rec.addComputed()
+		cs = getCanonScratch()
+		defer putCanonScratch(cs)
+		d = digestIn(g, cs)
 	}
 	s := internShard(d)
 	s.mu.Lock()
@@ -114,7 +120,7 @@ func InternStats(g *Graph, rec *RunStats) *Graph {
 		return old
 	}
 	if !g.frozen {
-		g.freezeWithDigest(d, rec)
+		g.freezeWithDigest(d, cs, rec)
 	}
 	s.insertLocked(g, d, rec)
 	return g

@@ -30,6 +30,22 @@ type bitset struct {
 	spill []Sym // sorted ascending; Syms > 64 only
 }
 
+// hash mixes the set into h: equal sets give equal results.
+func (s bitset) hash(h uint64) uint64 {
+	h = mix64(h ^ s.mask)
+	for _, y := range s.spill {
+		h = mix64(h ^ uint64(y))
+	}
+	return h
+}
+
+// mix64 is a bijective 64-bit finalizer (splitmix64's).
+func mix64(h uint64) uint64 {
+	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
+	h = (h ^ (h >> 27)) * 0x94d049bb133111eb
+	return h ^ (h >> 31)
+}
+
 func (s bitset) hasSym(y Sym) bool {
 	if y == 0 {
 		return false
