@@ -87,7 +87,7 @@ func Hash(g *Graph) string {
 func appendSignature(g *Graph, buf []byte, cs *canonScratch) []byte {
 	n := len(g.ids)
 	canonicalOrder(g, cs)
-	cs.idx = growInt32(cs.idx, n)
+	cs.idx = grow(cs.idx, n)
 	for ci, pos := range cs.order {
 		cs.idx[pos] = int32(ci)
 	}
@@ -172,13 +172,13 @@ func appendNodeDescriptor(buf []byte, n *Node) []byte {
 // are left holding the per-position SPATH sets and tie-break keys.
 func canonicalOrder(g *Graph, cs *canonScratch) {
 	n := len(g.ids)
-	cs.spaths = growSPathSets(cs.spaths, n)
+	cs.spaths = grow(cs.spaths, n)
 	cs.paths, cs.counts = g.spathsByPos(cs.spaths, cs.paths, cs.counts)
 	// One arena holds every node's tie-break key, its descriptor, '@'
 	// and its SPATH; keyOff and descEnd index it by position.
 	cs.arena = cs.arena[:0]
-	cs.keyOff = growInt32(cs.keyOff, n+1)
-	cs.descEnd = growInt32(cs.descEnd, n)
+	cs.keyOff = grow(cs.keyOff, n+1)
+	cs.descEnd = grow(cs.descEnd, n)
 	for i := range g.ids {
 		cs.keyOff[i] = int32(len(cs.arena))
 		cs.arena = appendNodeDescriptor(cs.arena, g.nodes[i])

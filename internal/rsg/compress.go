@@ -45,7 +45,7 @@ func compressOnce(g *Graph, lvl Level) int {
 	// Union-find for chain compatibility (the paper summarizes chains
 	// n1..nk with C_NODES_RSG(n_i, n_{i+1}) for consecutive pairs). The
 	// smaller root wins, so every group's root is its smallest position.
-	parent := growInt32(ws.parent, n)
+	parent := grow(ws.parent, n)
 	ws.parent = parent
 	for i := range parent {
 		parent[i] = int32(i)
@@ -99,9 +99,11 @@ func compressOnce(g *Graph, lvl Level) int {
 	}
 
 	// Collect the groups, processed in ascending root position so the
-	// fresh summary-node IDs are assigned deterministically. Members are
-	// collected by ID before anything moves: ws.nodeIDs holds every
-	// group of two or more back to back, ws.stack where each one ends.
+	// fresh summary-node IDs are assigned deterministically: the bucket
+	// entries, re-sorted by (root, position), line each group up.
+	// Members are collected by ID before anything moves: ws.nodeIDs
+	// holds every group of two or more back to back, ws.stack where
+	// each one ends.
 	for i := range ws.buckets {
 		ws.buckets[i] = bucketEntry{comp: find(int32(i)), pos: int32(i)}
 	}
@@ -180,7 +182,7 @@ func summarizeGroups(g *Graph, ws *workScratch) {
 	// Every summary node is built on the unchanged graph. MERGE_NODES
 	// reads the members' properties and the selectors they link
 	// through, and summarizing another group changes neither.
-	sumOf := growNodeIDs(ws.map1, int(g.nextID)+1) // member ID -> summary ID, 0 for others
+	sumOf := grow(ws.map1, int(g.nextID)+1) // member ID -> summary ID, 0 for others
 	ws.map1 = sumOf
 	clear(sumOf)
 	start := 0

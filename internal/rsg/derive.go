@@ -40,7 +40,7 @@ func (g *Graph) spathsByPos(sets []SPathSet, paths []SPath, counts []int32) ([]S
 	if len(g.pl) == 0 {
 		return paths, counts
 	}
-	counts = growInt32(counts, len(g.ids))
+	counts = grow(counts, len(g.ids))
 	clear(counts)
 	total := 0
 	for _, e := range g.pl {
@@ -98,7 +98,7 @@ func (g *Graph) spathSets() []SPathSet {
 // smallest position of the node's weakly-connected component, reusing
 // comp's capacity. Equal STRUCTURE is equal component (DESIGN.md §10).
 func (g *Graph) components(comp []int32) []int32 {
-	comp = growInt32(comp, len(g.ids))
+	comp = grow(comp, len(g.ids))
 	for i := range comp {
 		comp[i] = int32(i)
 	}

@@ -1,7 +1,6 @@
 package rsg
 
 import (
-	"slices"
 	"sort"
 	"strings"
 )
@@ -82,7 +81,7 @@ func Join(lvl Level, g1, g2 *Graph) *Graph {
 	ws := getWorkScratch()
 	defer putWorkScratch(ws)
 
-	match := growInt32(ws.match, n1len) // g1 pos -> g2 pos, -1 unmatched
+	match := grow(ws.match, n1len) // g1 pos -> g2 pos, -1 unmatched
 	ws.match = match
 	for i := range match {
 		match[i] = -1
@@ -137,8 +136,8 @@ func Join(lvl Level, g1, g2 *Graph) *Graph {
 	}
 	backing := make([]Node, outLen)
 	// map1 and map2 take an operand's node ID to its out ID.
-	map1 := growNodeIDs(ws.map1, int(g1.nextID)+1)
-	map2 := growNodeIDs(ws.map2, int(g2.nextID)+1)
+	map1 := grow(ws.map1, int(g1.nextID)+1)
+	map2 := grow(ws.map2, int(g2.nextID)+1)
 	ws.map1, ws.map2 = map1, map2
 
 	for p1 := 0; p1 < n1len; p1++ {
@@ -203,7 +202,7 @@ func translateEdges(dst, edges []edge, m []NodeID) []edge {
 // within one only the translated second endpoint can be out of order.
 // counts is scratch, returned to keep its capacity.
 func sortTranslated(snap *symSnap, dst []edge, counts []int32, edges []edge, m []NodeID, maxID NodeID, compare func(*symSnap, edge, edge) int) ([]edge, []int32) {
-	counts = growInt32(counts, int(maxID)+2)
+	counts = grow(counts, int(maxID)+2)
 	clear(counts)
 	for _, e := range edges {
 		counts[m[e.a]+1]++
@@ -212,7 +211,7 @@ func sortTranslated(snap *symSnap, dst []edge, counts []int32, edges []edge, m [
 		counts[i] += counts[i-1]
 	}
 	// counts[a] is where the run of a starts; it advances as it fills.
-	dst = slices.Grow(dst[:0], len(edges))[:len(edges)]
+	dst = grow(dst, len(edges))
 	for _, e := range edges {
 		a := m[e.a]
 		dst[counts[a]] = edge{a, e.sel, m[e.b]}

@@ -143,43 +143,23 @@ func putWorkScratch(ws *workScratch) {
 // spathSets returns the SPATH of every node of g, parallel to g.ids,
 // built in the scratch's buffers: valid until the scratch is put back.
 func (ws *workScratch) spathSets(g *Graph) []SPathSet {
-	if g.frozen {
-		return g.cSPaths
-	}
-	ws.spaths = growSPathSets(ws.spaths, len(g.ids))
+	ws.spaths = grow(ws.spaths, len(g.ids))
 	ws.paths, ws.counts = g.spathsByPos(ws.spaths, ws.paths, ws.counts)
 	return ws.spaths
 }
 
-// grow returns s resized to n, reusing capacity.
-func growInt32(s []int32, n int) []int32 {
+// grow returns s resized to n, reusing capacity. The contents are
+// unspecified.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
 
-func growNodeIDs(s []NodeID, n int) []NodeID {
-	if cap(s) < n {
-		return make([]NodeID, n)
-	}
-	return s[:n]
-}
-
+// growBool is grow with every entry false.
 func growBool(s []bool, n int) []bool {
-	if cap(s) < n {
-		s = make([]bool, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = false
-	}
+	s = grow(s, n)
+	clear(s)
 	return s
-}
-
-func growSPathSets(s []SPathSet, n int) []SPathSet {
-	if cap(s) < n {
-		return make([]SPathSet, n)
-	}
-	return s[:n]
 }
