@@ -337,12 +337,12 @@ func DecodeFrozen(data []byte) (*Graph, error) {
 		})
 	}
 	if selSnap := selTab.load(); selSnap != nil {
-		sort.SliceStable(g.outE, func(i, j int) bool { return outLess(selSnap, g.outE[i], g.outE[j]) })
+		sort.SliceStable(g.outE, func(i, j int) bool { return compareOut(selSnap, g.outE[i], g.outE[j]) < 0 })
 		g.inE = make([]edge, 0, len(g.outE))
 		for _, ed := range g.outE {
 			g.inE = append(g.inE, edge{a: ed.b, sel: ed.sel, b: ed.a})
 		}
-		sort.SliceStable(g.inE, func(i, j int) bool { return inLess(selSnap, g.inE[i], g.inE[j]) })
+		sort.SliceStable(g.inE, func(i, j int) bool { return compareIn(selSnap, g.inE[i], g.inE[j]) < 0 })
 	}
 	return g.Freeze(), nil
 }

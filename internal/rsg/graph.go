@@ -256,17 +256,8 @@ func (g *Graph) pvarReferenced(id NodeID) bool {
 	return false
 }
 
-func outLess(snap *symSnap, x, y edge) bool {
-	if x.a != y.a {
-		return x.a < y.a
-	}
-	if x.sel != y.sel {
-		return snap.rank[x.sel-1] < snap.rank[y.sel-1]
-	}
-	return x.b < y.b
-}
-
-// compareOut orders edges as outLess does, as a three-way comparison.
+// compareOut is outE's order: by source, selector name rank, then
+// destination.
 func compareOut(snap *symSnap, x, y edge) int {
 	if x.a != y.a {
 		return cmp.Compare(x.a, y.a)
@@ -277,7 +268,8 @@ func compareOut(snap *symSnap, x, y edge) int {
 	return cmp.Compare(x.b, y.b)
 }
 
-// compareIn orders edges as inLess does, as a three-way comparison.
+// compareIn is inE's order: by destination, source, then selector
+// name rank.
 func compareIn(snap *symSnap, x, y edge) int {
 	if x.a != y.a {
 		return cmp.Compare(x.a, y.a)
@@ -289,19 +281,6 @@ func compareIn(snap *symSnap, x, y edge) int {
 		return 0
 	}
 	return cmp.Compare(snap.rank[x.sel-1], snap.rank[y.sel-1])
-}
-
-func inLess(snap *symSnap, x, y edge) bool {
-	if x.a != y.a {
-		return x.a < y.a
-	}
-	if x.b != y.b {
-		return x.b < y.b
-	}
-	if x.sel == y.sel {
-		return false
-	}
-	return snap.rank[x.sel-1] < snap.rank[y.sel-1]
 }
 
 // outRun returns the contiguous outE entries with source id.
@@ -335,13 +314,13 @@ func (g *Graph) AddLinkSym(src NodeID, sel Sym, dst NodeID) {
 	}
 	snap := selTab.load()
 	e := edge{src, sel, dst}
-	i := sort.Search(len(g.outE), func(i int) bool { return !outLess(snap, g.outE[i], e) })
+	i := sort.Search(len(g.outE), func(i int) bool { return compareOut(snap, g.outE[i], e) >= 0 })
 	if i < len(g.outE) && g.outE[i] == e {
 		return
 	}
 	g.outE = insertEdge(g.outE, i, e)
 	f := edge{dst, sel, src}
-	j := sort.Search(len(g.inE), func(i int) bool { return !inLess(snap, g.inE[i], f) })
+	j := sort.Search(len(g.inE), func(i int) bool { return compareIn(snap, g.inE[i], f) >= 0 })
 	g.inE = insertEdge(g.inE, j, f)
 }
 
@@ -370,13 +349,13 @@ func (g *Graph) RemoveLinkSym(src NodeID, sel Sym, dst NodeID) {
 	}
 	snap := selTab.load()
 	e := edge{src, sel, dst}
-	i := sort.Search(len(g.outE), func(i int) bool { return !outLess(snap, g.outE[i], e) })
+	i := sort.Search(len(g.outE), func(i int) bool { return compareOut(snap, g.outE[i], e) >= 0 })
 	if i >= len(g.outE) || g.outE[i] != e {
 		return
 	}
 	g.outE = removeEdgeAt(g.outE, i)
 	f := edge{dst, sel, src}
-	j := sort.Search(len(g.inE), func(i int) bool { return !inLess(snap, g.inE[i], f) })
+	j := sort.Search(len(g.inE), func(i int) bool { return compareIn(snap, g.inE[i], f) >= 0 })
 	if j < len(g.inE) && g.inE[j] == f {
 		g.inE = removeEdgeAt(g.inE, j)
 	}
@@ -394,7 +373,7 @@ func (g *Graph) HasLinkSym(src NodeID, sel Sym, dst NodeID) bool {
 	}
 	snap := selTab.load()
 	e := edge{src, sel, dst}
-	i := sort.Search(len(g.outE), func(i int) bool { return !outLess(snap, g.outE[i], e) })
+	i := sort.Search(len(g.outE), func(i int) bool { return compareOut(snap, g.outE[i], e) >= 0 })
 	return i < len(g.outE) && g.outE[i] == e
 }
 
