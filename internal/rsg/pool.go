@@ -103,8 +103,9 @@ type workScratch struct {
 	summaries []*Node
 
 	// JOIN: the matching and each operand's node ID -> out ID table
-	// (map1 is COMPRESS's member ID -> summary ID table too); both: the
-	// translated and merged link runs.
+	// (map1 is COMPRESS's member ID -> summary ID table too, and JOIN's
+	// counting sort reuses counts); both: the translated and merged
+	// link runs.
 	match              []int32
 	map1, map2         []NodeID
 	run1, run2, merged []edge
