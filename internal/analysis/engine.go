@@ -365,14 +365,14 @@ func Run(prog *ir.Program, opts Options) (*Result, error) {
 		// graphs are processed), with TOUCH erasure applied on
 		// loop-exit edges. All contributions of the visit are admitted
 		// in one batched merge — one alias-bucket reduction round and
-		// one net delta instead of a round per predecessor — so the
-		// per-round fixed costs (bucket snapshots, task dispatch,
-		// delta netting) amortize across a statement's whole pending
-		// delta. The accumulation makes the dataflow monotone
-		// regardless of transfer non-monotonicities: after its first
-		// visit a statement transfers only when its in-state absorbs a
-		// digest it has never absorbed, and MaxVisits ends any run that
-		// outlasts that (DESIGN.md §14). The net membership delta across
+		// one delta instead of a round per predecessor — so the
+		// per-round fixed costs (bucket snapshots, task dispatch)
+		// amortize across a statement's whole pending delta. The
+		// accumulation makes the dataflow monotone regardless of
+		// transfer non-monotonicities: after its first visit a
+		// statement transfers only when its in-state absorbs a digest
+		// it has never absorbed, and MaxVisits ends any run that
+		// outlasts that (DESIGN.md §14). The membership delta across
 		// all predecessor merges feeds the semi-naïve transfer below.
 		in := inState[id]
 		if in == nil {
@@ -399,7 +399,7 @@ func Run(prog *ir.Program, opts Options) (*Result, error) {
 			contribs = append(contribs, contribution)
 		}
 		delta := in.MergeDeltaBatch(opts.Level, contribs, reduceOpts)
-		if !delta.Changed && res.Out[id] != nil {
+		if delta.Empty() && res.Out[id] != nil {
 			return nil
 		}
 

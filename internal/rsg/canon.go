@@ -1,6 +1,7 @@
 package rsg
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"slices"
@@ -53,6 +54,10 @@ func (d Digest) Less(o Digest) bool {
 	}
 	return false
 }
+
+// Compare returns -1, 0 or +1 as d sorts before, equal to or after o in
+// the order of Less; it suits slices.BinarySearchFunc and SortFunc.
+func (d Digest) Compare(o Digest) int { return bytes.Compare(d[:], o[:]) }
 
 // computeDigest hashes the signature bytes without materializing the
 // string, accumulating them in pooled scratch.

@@ -1,6 +1,7 @@
 package rsrsg
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/rsg"
@@ -17,13 +18,13 @@ import (
 // alias bucket) plus the cached reduction of every bucket, and
 // MergeDeltaDirty re-runs the bucket reduction only where the raw
 // contents actually changed. Per-bucket reduction is a pure function of
-// the bucket's entry set — Reduce sorts each group by digest before
-// reduceGroup, and COMPRESS/JOIN preserve the alias key, so
-// a clean bucket's cached reduction is byte-identical to what a full
-// recompute would produce and is reused as-is. Entries are refcounted
-// because distinct input graphs routinely step to overlapping outputs;
-// an entry leaves its bucket only when its last contributing part is
-// retracted.
+// the bucket's entry set — both Reduce and the accumulator hand
+// reduceBuckets digest-sorted buckets, and COMPRESS/JOIN preserve the
+// alias key, so a clean bucket's cached reduction is byte-identical to
+// what a full recompute would produce and is reused as-is. Entries are
+// refcounted because distinct input graphs routinely step to
+// overlapping outputs; an entry leaves its bucket only when its last
+// contributing part is retracted.
 type Accum struct {
 	lvl rsg.Level
 	// refs counts, per raw entry digest, how many live parts contribute
@@ -70,11 +71,8 @@ func (a *Accum) add(p *Set) {
 			continue
 		}
 		b := a.raw[e.alias]
-		i := sort.Search(len(b), func(i int) bool { return !b[i].dig.Less(e.dig) })
-		b = append(b, entry{})
-		copy(b[i+1:], b[i:])
-		b[i] = e
-		a.raw[e.alias] = b
+		i, _ := search(b, e.dig)
+		a.raw[e.alias] = slices.Insert(b, i, e)
 		a.dirty[e.alias] = struct{}{}
 	}
 }
@@ -89,11 +87,11 @@ func (a *Accum) remove(p *Set) {
 		}
 		delete(a.refs, e.dig)
 		b := a.raw[e.alias]
-		i := sort.Search(len(b), func(i int) bool { return !b[i].dig.Less(e.dig) })
-		if i >= len(b) || b[i].dig != e.dig {
+		i, ok := search(b, e.dig)
+		if !ok {
 			continue // retraction of a part never added; ignore
 		}
-		b = append(b[:i], b[i+1:]...)
+		b = slices.Delete(b, i, i+1)
 		if len(b) == 0 {
 			delete(a.raw, e.alias)
 		} else {
@@ -106,11 +104,11 @@ func (a *Accum) remove(p *Set) {
 // MergeDeltaDirty folds the given part deltas into the accumulator and
 // returns the updated reduced out-state plus the number of alias
 // buckets whose reduction had to be re-run. Buckets untouched by the
-// delta keep their cached reduction. Dirty buckets re-reduce as
-// independent tasks through opts.Exec (like Reduce), and results are
-// applied in sorted bucket-key order, so the outcome is bit-identical
-// at any worker count. The returned set shares its frozen member graphs
-// with the accumulator but is independently mutable.
+// delta keep their cached reduction. Dirty buckets re-reduce through
+// reduceBuckets, as Reduce's do, and results are applied in sorted
+// bucket-key order, so the outcome is bit-identical at any worker
+// count. The returned set shares its frozen member graphs with the
+// accumulator but is independently mutable.
 func (a *Accum) MergeDeltaDirty(add, remove []*Set, opts Options) (*Set, int) {
 	for _, p := range remove {
 		if p != nil {
@@ -133,28 +131,13 @@ func (a *Accum) MergeDeltaDirty(add, remove []*Set, opts Options) (*Set, int) {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-
-	results := make([][]entry, len(keys))
-	var tasks []func()
+	groups := make([][]entry, len(keys))
 	for i, key := range keys {
-		group := a.raw[key]
-		if len(group) < 2 {
-			// Mirror Reduce: trivial buckets pass the raw entries
-			// through unreduced.
-			results[i] = append([]entry(nil), group...)
-			continue
-		}
-		i, group := i, group
-		tasks = append(tasks, func() {
-			// Work on a copy: reduceGroup reslices its argument, and the
-			// raw bucket must stay intact for future deltas. The copy is
-			// already digest-sorted, exactly as Reduce would sort it. The
-			// shared join cache (opts.Joins) is internally synchronized.
-			g := append([]entry(nil), group...)
-			results[i], _ = reduceGroup(a.lvl, g, opts.Joins, opts.Stats)
-		})
+		groups[i] = a.raw[key]
 	}
-	opts.run(tasks)
+	// The results are fresh slices, so the raw buckets stay intact for
+	// future deltas.
+	results := reduceBuckets(a.lvl, groups, opts)
 
 	for i, key := range keys {
 		if entriesEqual(a.reduced[key], results[i]) {

@@ -2,8 +2,8 @@ package rsrsg
 
 // MergeDeltaBatch equivalence: admitting a visit's contributions in
 // one batched round must land exactly where one-contribution batches
-// land, and the batch's net Delta must replay the pre-batch membership
-// onto the post-batch one.
+// land, and the batch's Delta must replay the pre-batch membership onto
+// the post-batch one.
 
 import (
 	"math/rand"
@@ -31,7 +31,7 @@ func TestMergeDeltaBatchMatchesSequential(t *testing.T) {
 			}
 			seqChanged := false
 			for _, c := range contribs {
-				if seq.MergeDeltaBatch(lvl, []*Set{c}, opts).Changed {
+				if !seq.MergeDeltaBatch(lvl, []*Set{c}, opts).Empty() {
 					seqChanged = true
 				}
 			}
@@ -39,10 +39,10 @@ func TestMergeDeltaBatchMatchesSequential(t *testing.T) {
 			batDelta := bat.MergeDeltaBatch(lvl, contribs, opts)
 
 			sameMembership(t, membership(seq), bat, "batch vs sequential membership")
-			if seqChanged != batDelta.Changed {
-				t.Fatalf("lvl=%v seed=%d: Changed %v vs %v", lvl, seed, seqChanged, batDelta.Changed)
+			if seqChanged == batDelta.Empty() {
+				t.Fatalf("lvl=%v seed=%d: changed %v vs %v", lvl, seed, seqChanged, !batDelta.Empty())
 			}
-			// The net delta is unique given the memberships before and
+			// The delta is unique given the memberships before and
 			// after the batch: Added holds only digests new to the set,
 			// Removed only former members (so the two are disjoint), and
 			// replaying them onto the pre-batch membership gives the

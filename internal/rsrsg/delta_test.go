@@ -38,10 +38,10 @@ func sameMembership(t *testing.T, want map[rsg.Digest]struct{}, s *Set, msg stri
 }
 
 // TestMergeDeltaReportsExactMembershipDelta is the Delta contract the
-// semi-naïve engine rests on: replaying the reported Added/Removed onto
-// a snapshot of the pre-merge membership must reconstruct the
-// post-merge membership exactly — across levels, duplicate digests, and
-// empty contributions.
+// semi-naïve engine rests on: Added and Removed come in strict digest
+// order, and replaying them onto a snapshot of the pre-merge membership
+// must reconstruct the post-merge membership exactly — across levels,
+// duplicate digests, and empty contributions.
 func TestMergeDeltaReportsExactMembershipDelta(t *testing.T) {
 	for _, lvl := range []rsg.Level{rsg.L1, rsg.L2, rsg.L3} {
 		for seed := int64(0); seed < 6; seed++ {
@@ -63,8 +63,15 @@ func TestMergeDeltaReportsExactMembershipDelta(t *testing.T) {
 					contribution = FromGraphs(lvl, randomGraphs(r, 5), Options{})
 				}
 				d := s.MergeDeltaBatch(lvl, []*Set{contribution}, Options{})
-				if !d.Changed && (len(d.Added) > 0 || len(d.Removed) > 0) {
-					t.Fatalf("%v seed %d step %d: non-empty delta with Changed=false", lvl, seed, step)
+				for i := 1; i < len(d.Added); i++ {
+					if !d.Added[i-1].Digest().Less(d.Added[i].Digest()) {
+						t.Fatalf("%v seed %d step %d: Added not in strict digest order", lvl, seed, step)
+					}
+				}
+				for i := 1; i < len(d.Removed); i++ {
+					if !d.Removed[i-1].Less(d.Removed[i]) {
+						t.Fatalf("%v seed %d step %d: Removed not in strict digest order", lvl, seed, step)
+					}
 				}
 				applyDelta(shadow, d)
 				sameMembership(t, shadow, s, "after MergeDeltaBatch")

@@ -70,14 +70,11 @@ func TestReduceParallelMatchesSequential(t *testing.T) {
 				seq.Add(g.Clone())
 				par.Add(g.Clone())
 			}
-			seqJoins := seq.Reduce(lvl, Options{})
-			parJoins := par.Reduce(lvl, Options{Exec: goExec})
+			seq.Reduce(lvl, Options{})
+			par.Reduce(lvl, Options{Exec: goExec})
 			if !seq.Equal(par) {
 				t.Fatalf("%v seed %d: parallel Reduce diverged:\nseq %s\npar %s",
 					lvl, seed, seq.Signature(), par.Signature())
-			}
-			if seqJoins != parJoins {
-				t.Errorf("%v seed %d: join counts differ: %d vs %d", lvl, seed, seqJoins, parJoins)
 			}
 		}
 	}
@@ -94,8 +91,8 @@ func TestMergeDeltaParallelMatchesSequential(t *testing.T) {
 			seq, par := New(), New()
 			for step := 0; step < 6; step++ {
 				contribution := FromGraphs(lvl, randomGraphs(r, 6), Options{})
-				seqChanged := seq.MergeDeltaBatch(lvl, []*Set{contribution}, Options{}).Changed
-				parChanged := par.MergeDeltaBatch(lvl, []*Set{contribution}, Options{Exec: goExec}).Changed
+				seqChanged := !seq.MergeDeltaBatch(lvl, []*Set{contribution}, Options{}).Empty()
+				parChanged := !par.MergeDeltaBatch(lvl, []*Set{contribution}, Options{Exec: goExec}).Empty()
 				if seqChanged != parChanged {
 					t.Fatalf("%v seed %d step %d: changed verdicts differ (%v vs %v)",
 						lvl, seed, step, seqChanged, parChanged)

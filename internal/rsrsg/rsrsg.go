@@ -6,6 +6,7 @@
 package rsrsg
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -41,26 +42,26 @@ type joinKey struct {
 	a, b rsg.Digest
 }
 
-// JoinCache memoizes the pure pairwise primitives of bucket reduction —
-// CompatibleSP verdicts and JOIN+COMPRESS results — keyed by the
-// operands' canonical digests and the analysis level. It is semi-naïve
-// engine state: the engine shares one cache across every statement's
-// accumulator (NewAccum), because dirty-bucket re-reduction replays
-// join chains over raw sets that grew by a handful of digests, and the
-// same canonical pairs recur across statements as graphs propagate
-// through the CFG. Both primitives are pure functions of their frozen
-// operands, so a cached result is bit-identical to recomputation at any
-// worker count; the mutex only guards the maps, never the computation,
-// and a racing duplicate computation is harmless — both sides intern to
-// the same canonical graph. Callers without a cache (a plain Reduce)
-// recompute from scratch.
+// JoinCache memoizes the JOIN+COMPRESS results of bucket reduction,
+// keyed by the operands' canonical digests and the analysis level. It
+// is semi-naïve engine state: the engine shares one cache across every
+// statement's accumulator (NewAccum), because dirty-bucket re-reduction
+// replays join chains over raw sets that grew by a handful of digests,
+// and the same canonical pairs recur across statements as graphs
+// propagate through the CFG. JOIN+COMPRESS is a pure function of its
+// frozen operands, so a cached result is bit-identical to recomputation
+// at any worker count; the mutex only guards the map, never the
+// computation, and a racing duplicate computation is harmless — both
+// sides intern to the same canonical graph. Callers without a cache (a
+// plain Reduce) recompute from scratch. COMPATIBLE verdicts are not
+// cached: a frozen graph pins its SPATH sets, so a verdict costs a few
+// property compares, less than a locked map probe.
 //
 // Like the intern table, the cache does not own the graphs it returns:
 // a join result is held weakly, so one that no set holds any more is
 // collected, and a later hit on its key recomputes it (see joinedEntry).
 type JoinCache struct {
 	mu     sync.Mutex
-	compat map[joinKey]bool
 	joined map[joinKey]joinedEntry
 }
 
@@ -73,43 +74,15 @@ type joinedEntry struct {
 	alias string
 }
 
-// joinCacheCap bounds each of the cache's maps; a map that reaches the
-// cap is reset wholesale — entries are pure-function results, so
-// eviction only costs recomputation. Entries of collected join results
-// still hold their keys, so the joined map needs the cap too.
+// joinCacheCap bounds the cache's map; a map that reaches the cap is
+// reset wholesale — entries are pure-function results, so eviction only
+// costs recomputation. Entries of collected join results still hold
+// their keys, so the map needs the cap even though its graphs are weak.
 const joinCacheCap = 1 << 15
 
 // NewJoinCache returns an empty join cache for sharing across Accums.
 func NewJoinCache() *JoinCache {
-	return &JoinCache{
-		compat: make(map[joinKey]bool),
-		joined: make(map[joinKey]joinedEntry),
-	}
-}
-
-// compatible is CompatibleSP through the cache; a nil receiver
-// recomputes. Frozen graphs serve their SPATH sets from the freeze-time
-// cache, so no per-scan SPATH memo is needed.
-func (c *JoinCache) compatible(lvl rsg.Level, a, b entry) bool {
-	k := joinKey{lvl: lvl, a: a.dig, b: b.dig}
-	if c != nil {
-		c.mu.Lock()
-		v, ok := c.compat[k]
-		c.mu.Unlock()
-		if ok {
-			return v
-		}
-	}
-	v := rsg.CompatibleSP(lvl, a.g, b.g)
-	if c != nil {
-		c.mu.Lock()
-		if len(c.compat) >= joinCacheCap {
-			c.compat = make(map[joinKey]bool, 64)
-		}
-		c.compat[k] = v
-		c.mu.Unlock()
-	}
-	return v
+	return &JoinCache{joined: make(map[joinKey]joinedEntry)}
 }
 
 // join is JOIN+COMPRESS in interned entry form through the cache; a nil
@@ -143,13 +116,11 @@ func (c *JoinCache) join(lvl rsg.Level, a, b entry, rec *rsg.RunStats) entry {
 
 // Set is one RSRSG: a reduced set of RSGs, deduplicated by canonical
 // digest. Entries are kept sorted by digest, so iteration order is
-// deterministic without per-call sorting, and the set-level digest is
-// maintained incrementally so Equal is O(1).
+// deterministic without per-call sorting, membership is a binary
+// search, and the set-level digest is maintained incrementally so
+// Equal is O(1).
 type Set struct {
 	entries []entry // sorted ascending by dig
-	// byDig indexes the members; nil on a fresh Clone and rebuilt on
-	// first mutation, so read-only copies never pay for the map.
-	byDig map[rsg.Digest]struct{}
 	// absorbed records every digest ever folded in through
 	// MergeDeltaBatch, including graphs that were joined away; it
 	// prevents re-absorbing (and re-joining) recurring contributions
@@ -174,17 +145,12 @@ type Set struct {
 }
 
 // New returns an empty RSRSG.
-func New() *Set {
-	return &Set{byDig: make(map[rsg.Digest]struct{})}
-}
+func New() *Set { return &Set{} }
 
 // FromGraphs builds a reduced set from the given graphs at the given
 // level: graphs are deduplicated, then compatible graphs are joined.
 func FromGraphs(lvl rsg.Level, graphs []*rsg.Graph, opts Options) *Set {
-	s := &Set{
-		entries: make([]entry, 0, len(graphs)),
-		byDig:   make(map[rsg.Digest]struct{}, len(graphs)),
-	}
+	s := &Set{entries: make([]entry, 0, len(graphs))}
 	for _, g := range graphs {
 		s.AddStats(g, opts.Stats)
 	}
@@ -210,11 +176,11 @@ type Options struct {
 	// sorted bucket-key order, so the outcome is bit-identical to a
 	// sequential run.
 	Exec Exec
-	// Joins, when non-nil, memoizes pairwise CompatibleSP verdicts and
-	// JOIN+COMPRESS results across Reduce/MergeDeltaBatch/Accum calls (see
-	// JoinCache). Both primitives are pure functions of their frozen
-	// operands, so supplying a cache never changes results. The
-	// semi-naïve engine shares one cache per run.
+	// Joins, when non-nil, memoizes pairwise JOIN+COMPRESS results
+	// across Reduce/MergeDeltaBatch/Accum calls (see JoinCache). The
+	// join is a pure function of its frozen operands, so supplying a
+	// cache never changes results. The semi-naïve engine shares one
+	// cache per run.
 	Joins *JoinCache
 	// Stats, when non-nil, counts the rsg digest/freeze/intern work
 	// done on this run's behalf. It is the run's only cache tally, so a
@@ -246,28 +212,20 @@ func (s *Set) AddStats(g *rsg.Graph, rec *rsg.RunStats) bool {
 	return s.addEntry(newEntry(g, rec))
 }
 
-// ensureByDig materializes the member index after a lazy Clone.
-func (s *Set) ensureByDig() {
-	if s.byDig == nil {
-		s.byDig = make(map[rsg.Digest]struct{}, len(s.entries))
-		for _, e := range s.entries {
-			s.byDig[e.dig] = struct{}{}
-		}
-	}
+// search returns the position of dig in the digest-sorted es, or the
+// position it would be inserted at, and whether it is present.
+func search(es []entry, dig rsg.Digest) (int, bool) {
+	return slices.BinarySearchFunc(es, dig, func(e entry, d rsg.Digest) int { return e.dig.Compare(d) })
 }
 
 // addEntry inserts e at its sorted position unless a digest-identical
-// member exists, keeping byDig and the set digest in sync.
+// member exists, keeping the set digest and totals in sync.
 func (s *Set) addEntry(e entry) bool {
-	s.ensureByDig()
-	if _, dup := s.byDig[e.dig]; dup {
+	i, dup := search(s.entries, e.dig)
+	if dup {
 		return false
 	}
-	s.byDig[e.dig] = struct{}{}
-	i := sort.Search(len(s.entries), func(i int) bool { return !s.entries[i].dig.Less(e.dig) })
-	s.entries = append(s.entries, entry{})
-	copy(s.entries[i+1:], s.entries[i:])
-	s.entries[i] = e
+	s.entries = slices.Insert(s.entries, i, e)
 	xorDigest(&s.setDig, e.dig)
 	s.numNodes += e.g.NumNodes()
 	s.numLinks += e.g.NumLinks()
@@ -276,14 +234,12 @@ func (s *Set) addEntry(e entry) bool {
 
 // removeEntry deletes the member with the given digest, if present.
 func (s *Set) removeEntry(dig rsg.Digest) bool {
-	s.ensureByDig()
-	if _, ok := s.byDig[dig]; !ok {
+	i, ok := search(s.entries, dig)
+	if !ok {
 		return false
 	}
-	delete(s.byDig, dig)
-	i := sort.Search(len(s.entries), func(i int) bool { return !s.entries[i].dig.Less(dig) })
 	e := s.entries[i]
-	s.entries = append(s.entries[:i], s.entries[i+1:]...)
+	s.entries = slices.Delete(s.entries, i, i+1)
 	xorDigest(&s.setDig, dig)
 	s.numNodes -= e.g.NumNodes()
 	s.numLinks -= e.g.NumLinks()
@@ -295,9 +251,8 @@ func (s *Set) removeEntry(dig rsg.Digest) bool {
 func (s *Set) Remove(dig rsg.Digest) bool { return s.removeEntry(dig) }
 
 // reset clears the member state (absorbed history is kept).
-func (s *Set) reset(capacity int) {
+func (s *Set) reset() {
 	s.entries = s.entries[:0]
-	s.byDig = make(map[rsg.Digest]struct{}, capacity)
 	s.setDig = rsg.Digest{}
 	s.numNodes, s.numLinks = 0, 0
 }
@@ -340,15 +295,12 @@ func (s *Set) NumLinks() int { return s.numLinks }
 // Reduce joins compatible member graphs until no two members are
 // compatible (the "union of RSGs" of Sect. 4.3), compressing each join
 // result. Only graphs with equal alias relations can be compatible, so
-// the search works per alias bucket; buckets are independent and run
-// through opts.Exec (concurrently when the engine provides a pool),
-// with the results recombined in sorted bucket-key order so the final
-// set is identical regardless of schedule. Returns the number of joins.
-func (s *Set) Reduce(lvl rsg.Level, opts Options) int {
+// the search works per alias bucket (see reduceBuckets).
+func (s *Set) Reduce(lvl rsg.Level, opts Options) {
 	if len(s.entries) < 2 {
-		return 0
+		return
 	}
-
+	// The entries are digest-sorted, so every bucket is too.
 	buckets := make(map[string][]entry)
 	var order []string
 	for _, e := range s.entries {
@@ -358,51 +310,54 @@ func (s *Set) Reduce(lvl rsg.Level, opts Options) int {
 		buckets[e.alias] = append(buckets[e.alias], e)
 	}
 	sort.Strings(order)
-
-	results := make([][]entry, len(order))
-	bucketJoins := make([]int, len(order))
-	var tasks []func()
+	groups := make([][]entry, len(order))
 	for i, key := range order {
-		group := buckets[key]
-		if len(group) < 2 {
-			results[i] = group
-			continue
-		}
-		i, group := i, group
-		tasks = append(tasks, func() {
-			sort.Slice(group, func(a, b int) bool { return group[a].dig.Less(group[b].dig) })
-			results[i], bucketJoins[i] = reduceGroup(lvl, group, opts.Joins, opts.Stats)
-		})
+		groups[i] = buckets[key]
 	}
-	opts.run(tasks)
-
-	joins, total := 0, 0
-	for i := range results {
-		joins += bucketJoins[i]
-		total += len(results[i])
-	}
-	s.reset(total)
+	results := reduceBuckets(lvl, groups, opts)
+	s.reset()
 	for _, group := range results {
 		for _, e := range group {
 			s.addEntry(e)
 		}
 	}
-	return joins
+}
+
+// reduceBuckets reduces each digest-sorted alias bucket of groups and
+// returns the results in the order of groups; a bucket of fewer than
+// two entries passes through. Buckets are independent, so the
+// reductions run as tasks through opts.Exec (concurrently when the
+// engine provides a pool), and each result depends on its bucket alone,
+// whatever the schedule. Every result is a fresh slice: the callers'
+// buckets are neither resliced nor shared.
+func reduceBuckets(lvl rsg.Level, groups [][]entry, opts Options) [][]entry {
+	results := make([][]entry, len(groups))
+	var tasks []func()
+	for i, group := range groups {
+		if len(group) < 2 {
+			results[i] = slices.Clone(group)
+			continue
+		}
+		tasks = append(tasks, func() {
+			results[i] = reduceGroup(lvl, slices.Clone(group), opts.Joins, opts.Stats)
+		})
+	}
+	opts.run(tasks)
+	return results
 }
 
 // reduceGroup joins compatible graphs within one alias bucket until a
-// fixed point. Member graphs are frozen, so SPATH sets come from the
-// freeze-time cache. jc, when non-nil, memoizes the pairwise
-// compatibility verdicts and join results across calls (the Accum's
-// dirty-bucket replays); nil recomputes everything.
-func reduceGroup(lvl rsg.Level, group []entry, jc *JoinCache, rec *rsg.RunStats) ([]entry, int) {
-	joins := 0
+// fixed point, reslicing group. Member graphs are frozen, so SPATH sets
+// come from the freeze-time cache. jc, when non-nil, memoizes the join
+// results across calls (the Accum's dirty-bucket replays); nil
+// recomputes them.
+func reduceGroup(lvl rsg.Level, group []entry, jc *JoinCache, rec *rsg.RunStats) []entry {
 	for {
 		joined := false
 	scan:
 		for i := 0; i < len(group); i++ {
 			for j := i + 1; j < len(group); j++ {
-				if !jc.compatible(lvl, group[i], group[j]) {
+				if !rsg.CompatibleSP(lvl, group[i].g, group[j].g) {
 					continue
 				}
 				e := jc.join(lvl, group[i], group[j], rec)
@@ -413,13 +368,12 @@ func reduceGroup(lvl rsg.Level, group []entry, jc *JoinCache, rec *rsg.RunStats)
 					}
 				}
 				group = append(ng, e)
-				joins++
 				joined = true
 				break scan
 			}
 		}
 		if !joined {
-			return dedupe(group), joins
+			return dedupe(group)
 		}
 	}
 }
@@ -437,76 +391,28 @@ func dedupe(group []entry) []entry {
 	return out
 }
 
-// Delta is the net membership change reported by one MergeDeltaBatch
-// call: Added holds the graphs that are members now but were not
-// before the call, and Removed the digests of former members that were
-// joined away. Changed reports whether any membership churn happened
-// at all — it can be true with an empty net delta when an addition and
-// a removal cancel out. The engine's semi-naïve transfer consumes the
-// delta: only Added graphs are stepped through the abstract semantics,
-// and only the parts of Removed members are retracted from the cached
-// out-state.
+// Delta is the membership change reported by one MergeDeltaBatch call,
+// in digest order: Added holds the graphs that are members now but were
+// not before the call, and Removed the digests of former members that
+// were joined away. The two never share a digest, so no netting is
+// needed (see mergeEntries). The engine's semi-naïve transfer consumes
+// the delta: only Added graphs are stepped through the abstract
+// semantics, and only the parts of Removed members are retracted from
+// the cached out-state.
 type Delta struct {
-	Changed bool
 	Added   []*rsg.Graph
 	Removed []rsg.Digest
 }
 
-// deltaTracker nets per-call membership churn into a Delta.
-type deltaTracker struct {
-	added   map[rsg.Digest]*rsg.Graph
-	removed map[rsg.Digest]struct{}
-}
-
-func newDeltaTracker() *deltaTracker {
-	return &deltaTracker{
-		added:   make(map[rsg.Digest]*rsg.Graph),
-		removed: make(map[rsg.Digest]struct{}),
-	}
-}
-
-func (t *deltaTracker) add(e entry) {
-	if _, ok := t.removed[e.dig]; ok {
-		delete(t.removed, e.dig)
-		return
-	}
-	t.added[e.dig] = e.g
-}
-
-func (t *deltaTracker) remove(e entry) {
-	if _, ok := t.added[e.dig]; ok {
-		delete(t.added, e.dig)
-		return
-	}
-	t.removed[e.dig] = struct{}{}
-}
-
-// delta renders the net change in deterministic (digest) order.
-func (t *deltaTracker) delta(changed bool) Delta {
-	d := Delta{Changed: changed}
-	if len(t.added) > 0 {
-		d.Added = make([]*rsg.Graph, 0, len(t.added))
-		for _, g := range t.added {
-			d.Added = append(d.Added, g)
-		}
-		sort.Slice(d.Added, func(i, j int) bool { return d.Added[i].Digest().Less(d.Added[j].Digest()) })
-	}
-	if len(t.removed) > 0 {
-		d.Removed = make([]rsg.Digest, 0, len(t.removed))
-		for dig := range t.removed {
-			d.Removed = append(d.Removed, dig)
-		}
-		sort.Slice(d.Removed, func(i, j int) bool { return d.Removed[i].Less(d.Removed[j]) })
-	}
-	return d
-}
+// Empty reports whether the call left the membership unchanged.
+func (d Delta) Empty() bool { return len(d.Added) == 0 && len(d.Removed) == 0 }
 
 // MergeDeltaBatch is the engine's in-state accumulation primitive: it
 // folds a visit's contributions into s in one reduction round and
-// returns the net membership Delta across the whole batch. The
+// returns the membership Delta across the whole batch. The
 // genuinely-new entries of every contribution (in order) form a single
-// delta queue, so the per-round fixed costs — bucket snapshots, task
-// dispatch, delta netting — are paid once per visit. Re-reduction is
+// delta queue, so the per-round fixed costs — bucket snapshots and task
+// dispatch — are paid once per visit. Re-reduction is
 // incremental: only pairs involving a new (or newly-joined) graph are
 // tested for compatibility, because the existing members are already
 // pairwise incompatible. In-states grow monotonically, each growth step
@@ -559,11 +465,12 @@ func (s *Set) absorbContrib(other *Set, delta []entry) []entry {
 }
 
 // mergeEntries admits a collected delta queue and incrementally
-// re-reduces the touched alias buckets.
+// re-reduces the touched alias buckets. A digest belongs to one bucket
+// (digest-equal graphs have equal alias keys), and within its bucket it
+// either leaves (in the snapshot, not in the final membership) or
+// enters (the reverse), never both; so the removals and additions are
+// the Delta as they stand.
 func (s *Set) mergeEntries(lvl rsg.Level, delta []entry, opts Options) Delta {
-	track := newDeltaTracker()
-	changed := false
-
 	// Process the delta per alias bucket: a new entry can only
 	// deduplicate against or join with members of its own bucket
 	// (digest-equal graphs have equal alias keys, and compatibility
@@ -593,38 +500,37 @@ func (s *Set) mergeEntries(lvl rsg.Level, delta []entry, opts Options) Delta {
 	results := make([]bucketDelta, len(order))
 	tasks := make([]func(), len(order))
 	for i, key := range order {
-		i, key := i, key
 		tasks[i] = func() {
 			results[i] = mergeBucket(lvl, buckets[key], keyed[key], opts.Joins, opts.Stats)
 		}
 	}
 	opts.run(tasks)
 
+	var d Delta
 	for i, key := range order {
 		bd := &results[i]
-		before := buckets[key]
 		inFinal := make(map[rsg.Digest]struct{}, len(bd.final))
 		for _, e := range bd.final {
 			inFinal[e.dig] = struct{}{}
 		}
-		for _, e := range before {
+		for _, e := range buckets[key] {
 			if _, keep := inFinal[e.dig]; !keep {
 				s.removeEntry(e.dig)
-				changed = true
-				track.remove(e)
+				d.Removed = append(d.Removed, e.dig)
 			}
 		}
 		for _, e := range bd.final {
 			if s.addEntry(e) {
-				changed = true
-				track.add(e)
+				d.Added = append(d.Added, e.g)
 			}
 		}
 		for _, dig := range bd.absorbed {
 			s.absorbed[dig] = struct{}{}
 		}
 	}
-	return track.delta(changed)
+	slices.SortFunc(d.Added, func(a, b *rsg.Graph) int { return a.Digest().Compare(b.Digest()) })
+	slices.SortFunc(d.Removed, rsg.Digest.Compare)
+	return d
 }
 
 // contribKey identifies a fully-absorbed contribution set by the same
@@ -649,8 +555,8 @@ type bucketDelta struct {
 // Entries already present (by digest) are dropped; an entry compatible
 // with a member is joined, compressed, and re-queued; anything else
 // becomes a new member. Out-states propagate along the CFG, so the same
-// canonical pairs are tested and joined at successive statements — with
-// a shared jc those recurrences are map hits.
+// canonical pairs are joined at successive statements — with a shared
+// jc those recurrences are map hits.
 func mergeBucket(lvl rsg.Level, bucket, queue []entry, jc *JoinCache, rec *rsg.RunStats) bucketDelta {
 	var d bucketDelta
 	have := make(map[rsg.Digest]struct{}, len(bucket)+len(queue))
@@ -665,7 +571,7 @@ func mergeBucket(lvl rsg.Level, bucket, queue []entry, jc *JoinCache, rec *rsg.R
 		}
 		joined := -1
 		for i, old := range bucket {
-			if jc.compatible(lvl, old, e) {
+			if rsg.CompatibleSP(lvl, old.g, e.g) {
 				joined = i
 				break
 			}
@@ -698,10 +604,7 @@ func UnionAll(lvl rsg.Level, sets []*Set, opts Options) *Set {
 			total += len(s.entries)
 		}
 	}
-	out := &Set{
-		entries: make([]entry, 0, total),
-		byDig:   make(map[rsg.Digest]struct{}, total),
-	}
+	out := &Set{entries: make([]entry, 0, total)}
 	for _, s := range sets {
 		if s == nil {
 			continue
@@ -748,9 +651,7 @@ func (s *Set) Equal(o *Set) bool {
 // Clone returns a copy of the set sharing the member graphs. Graphs
 // inside a Set are frozen, so sharing is safe and avoids the deep
 // copies that would otherwise dominate no-op transfers. The entries are
-// already sorted and deduplicated, so the copy is one slice copy; the
-// byDig index is rebuilt lazily on first mutation, which most clones
-// (per-visit out-state snapshots) never perform.
+// already sorted and deduplicated, so the copy is one slice copy.
 func (s *Set) Clone() *Set {
 	return &Set{
 		entries:  append([]entry(nil), s.entries...),
@@ -763,10 +664,7 @@ func (s *Set) Clone() *Set {
 // Filter returns a set holding the member graphs satisfying pred,
 // sharing them (and their cached digests) with the receiver.
 func (s *Set) Filter(pred func(*rsg.Graph) bool) *Set {
-	out := &Set{
-		entries: make([]entry, 0, len(s.entries)),
-		byDig:   make(map[rsg.Digest]struct{}, len(s.entries)),
-	}
+	out := &Set{entries: make([]entry, 0, len(s.entries))}
 	for _, e := range s.entries {
 		if pred(e.g) {
 			out.addEntry(e)

@@ -296,7 +296,7 @@ func TestMergeDeltaMaintainsDigest(t *testing.T) {
 	b := New()
 	b.Add(mkGraph("u", "y"))
 	b.Add(mkGraph("t", "x"))
-	if !a.MergeDeltaBatch(rsg.L1, []*Set{b}, Options{}).Changed {
+	if a.MergeDeltaBatch(rsg.L1, []*Set{b}, Options{}).Empty() {
 		t.Fatal("MergeDeltaBatch must report change")
 	}
 	var want rsg.Digest
@@ -308,7 +308,7 @@ func TestMergeDeltaMaintainsDigest(t *testing.T) {
 	if a.Digest() != want {
 		t.Fatalf("digest drifted after MergeDeltaBatch: %s != %s", a.Digest(), want)
 	}
-	if a.MergeDeltaBatch(rsg.L1, []*Set{b}, Options{}).Changed {
+	if !a.MergeDeltaBatch(rsg.L1, []*Set{b}, Options{}).Empty() {
 		t.Fatal("re-merging the same set must be a no-op")
 	}
 }
