@@ -280,10 +280,9 @@ func (e *epStats) snapshot() EndpointStats {
 
 // StoreStats is the JSON form of the shared store's state.
 type StoreStats struct {
-	Graphs    int  `json:"graphs"`
-	Memos     int  `json:"memos"`
-	Snapshots int  `json:"snapshots"`
-	ReadOnly  bool `json:"read_only"`
+	Graphs    int `json:"graphs"`
+	Memos     int `json:"memos"`
+	Snapshots int `json:"snapshots"`
 }
 
 // AnalysisTotals aggregates analysis.Stats across all completed runs.
@@ -346,7 +345,7 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	if st := s.cfg.Store; st != nil {
 		g, m, sn := st.Counts()
-		resp.Store = &StoreStats{Graphs: g, Memos: m, Snapshots: sn, ReadOnly: st.ReadOnly()}
+		resp.Store = &StoreStats{Graphs: g, Memos: m, Snapshots: sn}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -6,4 +6,4 @@ package store
 // exclusion still holds through Store.mu, and the CRC/truncate recovery
 // bounds the damage of an unlikely cross-process interleave to the
 // torn tail.
-func lockFile(fd uintptr, exclusive bool) error { return nil }
+func lockFile(fd uintptr) error { return nil }

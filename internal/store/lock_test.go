@@ -3,7 +3,6 @@ package store
 import (
 	"errors"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -14,9 +13,8 @@ import (
 // TestOpenLockConflict is the regression test for the unguarded
 // concurrent-access bug: before the flock discipline, two Opens of one
 // path each got a live write path and could interleave appends. Now
-// the second writer (and any reader while a writer lives) is refused
-// with ErrLocked, readers coexist with each other, and closing the
-// holder releases the path.
+// the second writer is refused with ErrLocked, and closing the holder
+// releases the path.
 func TestOpenLockConflict(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.rsgstore")
 
@@ -27,147 +25,15 @@ func TestOpenLockConflict(t *testing.T) {
 	if _, err := Open(path); !errors.Is(err, ErrLocked) {
 		t.Fatalf("second writer Open: got %v, want ErrLocked", err)
 	}
-	if _, err := OpenReadOnly(path); !errors.Is(err, ErrLocked) {
-		t.Fatalf("reader while writer holds the lock: got %v, want ErrLocked", err)
-	}
 	if err := w.Close(); err != nil {
 		t.Fatalf("close writer: %v", err)
 	}
 
-	r1, err := OpenReadOnly(path)
-	if err != nil {
-		t.Fatalf("first reader: %v", err)
-	}
-	r2, err := OpenReadOnly(path)
-	if err != nil {
-		t.Fatalf("second reader (shared lock): %v", err)
-	}
-	if _, err := Open(path); !errors.Is(err, ErrLocked) {
-		t.Fatalf("writer while readers hold the lock: got %v, want ErrLocked", err)
-	}
-	r1.Close()
-	r2.Close()
-
 	w2, err := Open(path)
 	if err != nil {
-		t.Fatalf("writer after readers closed: %v", err)
+		t.Fatalf("writer after the first closed: %v", err)
 	}
 	w2.Close()
-}
-
-// TestReadOnlyStore: a reader serves everything the writer recorded,
-// refuses writes with ErrReadOnly, and does not truncate a torn tail
-// (repairing the log is the writer's job).
-func TestReadOnlyStore(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cache.rsgstore")
-	rng := rand.New(rand.NewSource(11))
-
-	w, err := Open(path)
-	if err != nil {
-		t.Fatalf("open writer: %v", err)
-	}
-	g := testGraph(rng)
-	if err := w.PutGraph(g); err != nil {
-		t.Fatalf("put graph: %v", err)
-	}
-	if err := w.PutMemo(dig(1), g.Digest(), []rsg.Digest{g.Digest()}); err != nil {
-		t.Fatalf("put memo: %v", err)
-	}
-	snap := &Snapshot{Prog: dig(9), Name: "t", Fp: 1, Converged: true,
-		Stmts: []SnapStmt{{ID: 0, Digest: dig(2), HasOut: true, Out: []rsg.Digest{g.Digest()}}}}
-	if err := w.PutSnapshot(snap); err != nil {
-		t.Fatalf("put snapshot: %v", err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatalf("close writer: %v", err)
-	}
-
-	// Tear the tail: a half-written record a crashed writer left.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{kindGraph, 0x80}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	torn, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := OpenReadOnly(path)
-	if err != nil {
-		t.Fatalf("open reader: %v", err)
-	}
-	if !r.ReadOnly() {
-		t.Fatal("ReadOnly() = false on an OpenReadOnly store")
-	}
-	if got, ok := r.Graph(g.Digest()); !ok || got.Digest() != g.Digest() {
-		t.Fatalf("reader Graph: ok=%v", ok)
-	}
-	if _, ok := r.Memo(dig(1), g.Digest()); !ok {
-		t.Fatal("reader Memo miss")
-	}
-	if _, ok := r.Snapshot(dig(9), 1); !ok {
-		t.Fatal("reader Snapshot miss")
-	}
-	if err := r.PutGraph(testGraph(rng)); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("reader PutGraph: got %v, want ErrReadOnly", err)
-	}
-	if err := r.PutMemo(dig(3), g.Digest(), nil); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("reader PutMemo: got %v, want ErrReadOnly", err)
-	}
-	if err := r.PutSnapshot(snap); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("reader PutSnapshot: got %v, want ErrReadOnly", err)
-	}
-	after, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.Size() != torn.Size() {
-		t.Fatalf("reader truncated the file: %d -> %d bytes", torn.Size(), after.Size())
-	}
-	r.Close()
-
-	// The writer that reopens the path is the one that repairs it.
-	w2, err := Open(path)
-	if err != nil {
-		t.Fatalf("reopen writer over torn tail: %v", err)
-	}
-	defer w2.Close()
-	repaired, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if repaired.Size() != torn.Size()-2 {
-		t.Fatalf("writer did not truncate the torn tail: %d bytes, want %d", repaired.Size(), torn.Size()-2)
-	}
-}
-
-// TestReadOnlyEmptyFile: a reader over a zero-length file (created but
-// never stamped by a writer) serves an empty store instead of writing
-// the magic or failing.
-func TestReadOnlyEmptyFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cache.rsgstore")
-	if err := os.WriteFile(path, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r, err := OpenReadOnly(path)
-	if err != nil {
-		t.Fatalf("open reader on empty file: %v", err)
-	}
-	defer r.Close()
-	if ng, nm, ns := r.Counts(); ng+nm+ns != 0 {
-		t.Fatalf("empty file produced a non-empty store: %d/%d/%d", ng, nm, ns)
-	}
-	st, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Size() != 0 {
-		t.Fatalf("reader wrote %d bytes into the empty file", st.Size())
-	}
 }
 
 // TestConcurrentStoreHammer drives every public Store operation from

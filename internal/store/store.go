@@ -98,22 +98,16 @@ type Snapshot struct {
 	Stmts       []SnapStmt
 }
 
-// ErrLocked reports that another process holds a conflicting advisory
-// lock on the store file: a writer excludes everyone, readers exclude
-// the writer. Callers should refuse or degrade (read-only, or no store
-// at all) rather than share the write path.
+// ErrLocked reports that another Open holds the store file's exclusive
+// advisory lock. Callers should refuse or run without a store rather
+// than share the write path.
 var ErrLocked = errors.New("store: locked by another process")
 
-// ErrReadOnly reports a write on a store opened with OpenReadOnly.
-var ErrReadOnly = errors.New("store: opened read-only")
-
 // Store is safe for concurrent use within one process; across
-// processes, Open's advisory flock enforces a single-writer/
-// many-readers discipline.
+// processes, Open's advisory flock admits a single user per file.
 type Store struct {
 	mu     sync.Mutex
 	f      *os.File
-	ro     bool  // opened by OpenReadOnly: reads only, no truncation
 	size   int64 // durable log length == append offset
 	graphs map[rsg.Digest]span
 	memos  map[memoKey][]rsg.Digest
@@ -128,34 +122,14 @@ type Store struct {
 // store magic is refused rather than clobbered.
 //
 // Open takes an exclusive advisory lock (flock) on the file and holds
-// it until Close: a second writer — another process, or a second Open
-// in this one — gets ErrLocked instead of a chance to interleave
-// appends with ours. Readers opened with OpenReadOnly are excluded
-// too, because the writer may truncate a torn tail out from under a
-// replay in progress.
+// it until Close: a second Open — in another process or in this one —
+// gets ErrLocked instead of a chance to interleave appends with ours.
 func Open(path string) (*Store, error) {
-	return open(path, false)
-}
-
-// OpenReadOnly opens an existing store file for serving only: reads
-// share an advisory lock (any number of readers coexist, but never
-// with a writer), every Put returns ErrReadOnly, and replay tolerates
-// a torn tail by ignoring it instead of truncating the file. This is
-// the mode for read replicas of a store another process maintains.
-func OpenReadOnly(path string) (*Store, error) {
-	return open(path, true)
-}
-
-func open(path string, readOnly bool) (*Store, error) {
-	flags, mode := os.O_RDWR|os.O_CREATE, os.FileMode(0o644)
-	if readOnly {
-		flags, mode = os.O_RDONLY, 0
-	}
-	f, err := os.OpenFile(path, flags, mode)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	if err := lockFile(f.Fd(), !readOnly); err != nil {
+	if err := lockFile(f.Fd()); err != nil {
 		f.Close()
 		if errors.Is(err, ErrLocked) {
 			return nil, fmt.Errorf("%s: %w", path, ErrLocked)
@@ -164,7 +138,6 @@ func open(path string, readOnly bool) (*Store, error) {
 	}
 	s := &Store{
 		f:      f,
-		ro:     readOnly,
 		graphs: make(map[rsg.Digest]span),
 		memos:  make(map[memoKey][]rsg.Digest),
 		snaps:  make(map[snapKey]*Snapshot),
@@ -186,13 +159,6 @@ func (s *Store) replay() error {
 		return err
 	}
 	if st.Size() == 0 {
-		if s.ro {
-			// A brand-new (or concurrently created, not yet stamped)
-			// file: nothing to serve, and a reader must not write the
-			// magic. Every lookup on the empty indexes simply misses.
-			s.size = 0
-			return nil
-		}
 		if _, err := s.f.Write(magic); err != nil {
 			return err
 		}
@@ -214,10 +180,7 @@ func (s *Store) replay() error {
 		s.index(kind, body, good)
 		good += recLen
 	}
-	if good < st.Size() && !s.ro {
-		// Writers repair the log; readers just ignore the torn tail —
-		// the writer that owns the file will truncate it, and nothing
-		// before the tear is affected either way.
+	if good < st.Size() {
 		if err := s.f.Truncate(good); err != nil {
 			return err
 		}
@@ -336,9 +299,6 @@ func (s *Store) PutGraph(g *rsg.Graph) error {
 	if _, ok := s.graphs[d]; ok {
 		return nil
 	}
-	if s.ro {
-		return ErrReadOnly
-	}
 	enc := rsg.EncodeFrozen(g)
 	body := make([]byte, 0, 16+len(enc))
 	body = append(body, d[:]...)
@@ -409,9 +369,6 @@ func (s *Store) PutMemo(stmt Key, in rsg.Digest, out []rsg.Digest) error {
 	if _, ok := s.memos[k]; ok {
 		return nil
 	}
-	if s.ro {
-		return ErrReadOnly
-	}
 	body := make([]byte, 0, 40+16*len(out))
 	body = append(body, stmt[:]...)
 	body = append(body, in[:]...)
@@ -464,9 +421,6 @@ func (s *Store) PutSnapshot(snap *Snapshot) error {
 	if s.f == nil {
 		return os.ErrClosed
 	}
-	if s.ro {
-		return ErrReadOnly
-	}
 	body := encodeSnapshot(snap)
 	if err := s.append(kindSnapshot, body); err != nil {
 		return err
@@ -494,9 +448,6 @@ func (s *Store) SnapshotByName(name string, fp uint64) (*Snapshot, bool) {
 	v, ok := s.byName[nameKey{name: name, fp: fp}]
 	return v, ok
 }
-
-// ReadOnly reports whether the store was opened with OpenReadOnly.
-func (s *Store) ReadOnly() bool { return s.ro }
 
 // Counts reports index sizes (graphs, memo entries, snapshots) for
 // tests and CLI diagnostics.

@@ -137,9 +137,10 @@ func TestStoreSnapshotShadowing(t *testing.T) {
 }
 
 // TestStoreTornTailRecovery: appending garbage, a truncated record, or
-// flipping bits in the tail must cost at most the tail — Open succeeds,
-// earlier records stay readable, and no read ever returns a graph whose
-// digest does not match its key.
+// flipping bits in the tail must cost at most the tail — Open succeeds
+// and truncates the file to its last good record, earlier records stay
+// readable, and no read ever returns a graph whose digest does not match
+// its key.
 func TestStoreTornTailRecovery(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	base := filepath.Join(t.TempDir(), "cache.rsgstore")
@@ -162,16 +163,21 @@ func TestStoreTornTailRecovery(t *testing.T) {
 	s.Close()
 	full, _ := os.ReadFile(base)
 
-	mutations := map[string][]byte{
-		"trailing_garbage": append(append([]byte(nil), full...), 0xFF, 0x13, 0x37),
-		"torn_record":      full[:len(pristine)+(len(full)-len(pristine))/2],
-		"flipped_crc":      flipByte(full, len(full)-1),
-		"flipped_body":     flipByte(full, len(pristine)+24),
+	// Each damaged file, and the length of its last good record's end,
+	// which Open must truncate the file to.
+	mutations := map[string]struct {
+		data []byte
+		good int
+	}{
+		"trailing_garbage": {append(append([]byte(nil), full...), 0xFF, 0x13, 0x37), len(full)},
+		"torn_record":      {full[:len(pristine)+(len(full)-len(pristine))/2], len(pristine)},
+		"flipped_crc":      {flipByte(full, len(full)-1), len(pristine)},
+		"flipped_body":     {flipByte(full, len(pristine)+24), len(pristine)},
 	}
-	for name, data := range mutations {
+	for name, m := range mutations {
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "mut.rsgstore")
-			if err := os.WriteFile(path, data, 0o644); err != nil {
+			if err := os.WriteFile(path, m.data, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			s, err := Open(path)
@@ -179,6 +185,13 @@ func TestStoreTornTailRecovery(t *testing.T) {
 				t.Fatalf("open after %s: %v", name, err)
 			}
 			defer s.Close()
+			st, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Size() != int64(m.good) {
+				t.Fatalf("open after %s left %d bytes, want the %d up to the last good record", name, st.Size(), m.good)
+			}
 			got, ok := s.Graph(gKeep.Digest())
 			if !ok || got.Digest() != gKeep.Digest() {
 				t.Fatalf("pristine prefix lost after %s", name)
