@@ -97,7 +97,6 @@ func StepSelNilSym(ctx *Context, g *rsg.Graph, x, sel rsg.Sym) []*rsg.Graph {
 		if !rsg.Prune(g2) {
 			continue
 		}
-		g2.CollectGarbage()
 		rsg.Compress(g2, ctx.Level)
 		out = append(out, g2)
 	}
@@ -128,7 +127,6 @@ func StepSelCopySym(ctx *Context, g *rsg.Graph, x, sel, y rsg.Sym) []*rsg.Graph 
 		if !rsg.Prune(g2) {
 			continue
 		}
-		g2.CollectGarbage()
 		rsg.Compress(g2, ctx.Level)
 		out = append(out, g2)
 	}
@@ -162,7 +160,6 @@ func StepLoadSym(ctx *Context, g *rsg.Graph, x, y, sel rsg.Sym) []*rsg.Graph {
 		if !rsg.Prune(g2) {
 			continue
 		}
-		g2.CollectGarbage()
 		rsg.Compress(g2, ctx.Level)
 		out = append(out, g2)
 	}

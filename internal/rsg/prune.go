@@ -6,7 +6,9 @@ package rsg
 // elements behind. It returns false when the graph turns out to be
 // infeasible — a node directly referenced by a pvar violates its
 // properties, so no concrete configuration matches the graph and the
-// caller must discard it.
+// caller must discard it. It returns true only after a round in which
+// no rule changed anything, so an accepted graph has no unreachable
+// node left to collect.
 //
 // Four rules run to a fixed point:
 //

@@ -178,6 +178,33 @@ func TestPruneIdempotent(t *testing.T) {
 	}
 }
 
+// TestPruneLeavesNoGarbage pins what lets the transfer functions
+// compress a pruned graph without collecting it first: Prune returns
+// true only after a round in which its garbage collection removed
+// nothing, so collecting again removes nothing and leaves the digest.
+func TestPruneLeavesNoGarbage(t *testing.T) {
+	accepted := 0
+	for seed := int64(0); seed < 64; seed++ {
+		for i, g := range kernelGraphs(seed) {
+			c := g.Clone()
+			if !Prune(c) {
+				continue
+			}
+			accepted++
+			before := c.Digest()
+			if n := c.CollectGarbage(); n != 0 {
+				t.Fatalf("seed %d graph %d: CollectGarbage removed %d nodes after Prune accepted the graph:\n%s", seed, i, n, c)
+			}
+			if c.Digest() != before {
+				t.Fatalf("seed %d graph %d: CollectGarbage after Prune moved the digest", seed, i)
+			}
+		}
+	}
+	if accepted == 0 {
+		t.Fatal("Prune accepted no fixture graph")
+	}
+}
+
 func TestPruneKeepsConsistentDlist(t *testing.T) {
 	g, n1, n2, n3 := dlist(true)
 	if !Prune(g) {
