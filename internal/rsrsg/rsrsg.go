@@ -168,13 +168,13 @@ type Exec func(tasks []func())
 // Options tunes the reduction. The zero value is the paper's behaviour.
 type Options struct {
 	// Exec, when non-nil, runs the per-alias-bucket reduction tasks of
-	// Reduce and MergeDeltaBatch concurrently. Buckets are independent —
-	// compatibility requires equal alias keys, digest-equal graphs have
-	// equal alias keys, and JOIN/COMPRESS preserve the alias relation
-	// (C_SPATH demands equal zero-length paths, so nodes referenced by
-	// different pvars never merge) — and results are recombined in
-	// sorted bucket-key order, so the outcome is bit-identical to a
-	// sequential run.
+	// Reduce, MergeDeltaBatch and Accum.MergeDeltaDirty concurrently.
+	// Buckets are independent — compatibility requires equal alias
+	// keys, digest-equal graphs have equal alias keys, and JOIN/COMPRESS
+	// preserve the alias relation (C_SPATH demands equal zero-length
+	// paths, so nodes referenced by different pvars never merge) — and
+	// results are recombined in sorted bucket-key order, so the outcome
+	// is bit-identical to a sequential run.
 	Exec Exec
 	// Joins, when non-nil, memoizes pairwise JOIN+COMPRESS results
 	// across Reduce/MergeDeltaBatch/Accum calls (see JoinCache). The
