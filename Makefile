@@ -44,13 +44,13 @@ test-race:
 # One iteration over the benchmark surfaces a change is most likely to
 # rot: the digest, clone, freeze, join and compress micro-benches (the
 # join and compress ones on a chain and on two ~100-link barneshut
-# out-state graphs), the
-# Figure-1 pipeline, the Barnes-Hut L1 macro cell, compiling the four
+# out-state graphs, and the reduction's join on those graphs, once
+# answered by an operand and once built), the Figure-1 pipeline, the Barnes-Hut L1 macro cell, compiling the four
 # kernels and a warm-started store-backed run, the RSRSG layer's bucket
 # reductions over the Barnes-Hut L1 out-state graphs, plus a short run
 # of the determinism suite (every worker count must stay bit-identical).
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkSignature|BenchmarkDigest|BenchmarkClone|BenchmarkFreeze|BenchmarkJoin|BenchmarkJoinWide|BenchmarkCompressChain|BenchmarkCompressWide' -benchtime=1x ./internal/rsg/
+	$(GO) test -run xxx -bench 'BenchmarkSignature|BenchmarkDigest|BenchmarkClone|BenchmarkFreeze|BenchmarkJoin|BenchmarkJoinWide|BenchmarkJoinSubsumed|BenchmarkCompressChain|BenchmarkCompressWide' -benchtime=1x ./internal/rsg/
 	$(GO) test -run xxx -bench 'BenchmarkReduce|BenchmarkMergeDeltaBatch|BenchmarkAccumMergeDeltaDirty' -benchtime=1x ./internal/rsrsg/
 	$(GO) test -run xxx -bench 'BenchmarkFigure1Pipeline|BenchmarkParallelBarnesHutL1_Workers1$$|BenchmarkCompileKernels|BenchmarkWarmRun' -benchtime=1x .
 	$(GO) test -run TestParallelDeterminism -short -count=1 ./internal/analysis/

@@ -329,14 +329,15 @@ func TestVisitBudgetWithWorkers(t *testing.T) {
 }
 
 // TestPerRunCacheStats checks that Stats.Cache counts one run's work
-// alone. A run makes the same intern and digest calls whatever else the
-// process does; only the hit/miss split depends on what is already
-// interned. So each of two concurrent runs must count exactly as many
-// interns (hits + misses) and digests (computed + cached) as the same
-// run alone, where attributing process-wide activity to a run would
-// count both runs' calls. A collection can clear a weakly held join
-// result, whose recompute interns once more, so collection is off for
-// the test; 300 visits keep the run's join cache below its reset.
+// alone. A run makes the same intern, digest and join calls whatever
+// else the process does; only the hit/miss split depends on what is
+// already interned. So each of two concurrent runs must count exactly
+// as many interns (hits + misses), digests (computed + cached) and join
+// requests (hits + absorbed + built) as the same run alone, where
+// attributing process-wide activity to a run would count both runs'
+// calls. A collection can clear a weakly held join result, whose
+// recompute interns once more, so collection is off for the test; 300
+// visits keep the run's join cache below its reset.
 func TestPerRunCacheStats(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	opts := analysis.Options{Level: rsg.L1, MaxVisits: 300, Workers: 2}
@@ -350,9 +351,10 @@ func TestPerRunCacheStats(t *testing.T) {
 	}
 	interns := func(c rsg.CacheStats) uint64 { return c.InternHits + c.InternMisses }
 	digests := func(c rsg.CacheStats) uint64 { return c.DigestsComputed + c.DigestCacheHits }
+	joins := func(c rsg.CacheStats) uint64 { return c.JoinHits + c.JoinsAbsorbed + c.JoinsBuilt }
 
 	solo := run("solo run").Stats.Cache
-	if interns(solo) == 0 || digests(solo) == 0 {
+	if interns(solo) == 0 || digests(solo) == 0 || joins(solo) == 0 {
 		t.Fatalf("solo recorder saw no work: %+v", solo)
 	}
 	var ready, done sync.WaitGroup
@@ -381,6 +383,9 @@ func TestPerRunCacheStats(t *testing.T) {
 		}
 		if digests(c) != digests(solo) {
 			t.Errorf("run %d: %d digests, %d alone", i, digests(c), digests(solo))
+		}
+		if joins(c) != joins(solo) {
+			t.Errorf("run %d: %d join requests, %d alone", i, joins(c), joins(solo))
 		}
 	}
 }

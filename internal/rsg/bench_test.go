@@ -134,6 +134,33 @@ func BenchmarkJoinWide(b *testing.B) {
 	}
 }
 
+// BenchmarkJoinSubsumed runs the RSRSG reduction's join on the wide
+// graphs. "absorbed" joins the first wide graph with itself, which the
+// shortcut answers with the operand; "built" joins the BenchmarkJoinWide
+// pair, where the second graph keeps a node of its own, so the test
+// fails and JoinSubsumed builds the join and compresses it.
+func BenchmarkJoinSubsumed(b *testing.B) {
+	g1, g2 := wideGraphs(b)
+	for _, c := range []struct {
+		name   string
+		g1, g2 *Graph
+		keep   *Graph
+	}{
+		{"absorbed", g1, g1, g1},
+		{"built", g1, g2, nil},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			if _, keep := JoinSubsumed(L1, c.g1, c.g2); keep != c.keep {
+				b.Fatalf("JoinSubsumed kept %p, want %p", keep, c.keep)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_, _ = JoinSubsumed(L1, c.g1, c.g2)
+			}
+		})
+	}
+}
+
 // BenchmarkCompressWide compresses the larger wide graph with pvar ch
 // cleared: a round with one merge, then the round that merges nothing.
 func BenchmarkCompressWide(b *testing.B) {

@@ -22,7 +22,9 @@ import (
 // symmetric cases, produce different signatures; that costs a duplicate
 // RSG in the set (a precision/space issue, never a soundness issue),
 // and cannot prevent fixed-point detection because the transfer
-// functions themselves are deterministic.
+// functions themselves are deterministic. A frozen graph records
+// whether its order needed the last resort; when it did not, every
+// isomorphic graph has its signature.
 //
 // Hot paths should prefer the fixed-size binary Digest over the full
 // string: the two agree (Digest is a hash of exactly these bytes), and
@@ -102,7 +104,7 @@ func appendSignature(g *Graph, buf []byte, cs *canonScratch) []byte {
 		buf = append(buf, 'P', ' ')
 		buf = append(buf, psnap.names[e.sym-1]...)
 		buf = append(buf, ' ')
-		buf = strconv.AppendInt(buf, int64(cs.idx[g.posOf(e.id)]), 10)
+		buf = strconv.AppendInt(buf, int64(cs.idx[cs.index.pos[e.id]]), 10)
 		buf = append(buf, '\n')
 	}
 	for ci, pos := range cs.order {
@@ -118,12 +120,12 @@ func appendSignature(g *Graph, buf []byte, cs *canonScratch) []byte {
 	ssnap := selTab.load()
 	for _, pos := range cs.order {
 		srcIdx := int64(cs.idx[pos])
-		run := g.outRun(g.ids[pos])
+		run := cs.index.outRun(g, pos)
 		for i := 0; i < len(run); {
 			sel := run[i].sel
 			cs.dsts = cs.dsts[:0]
 			for ; i < len(run) && run[i].sel == sel; i++ {
-				cs.dsts = append(cs.dsts, int(cs.idx[g.posOf(run[i].b)]))
+				cs.dsts = append(cs.dsts, int(cs.idx[cs.index.pos[run[i].b]]))
 			}
 			sort.Ints(cs.dsts)
 			name := ssnap.names[sel-1]
@@ -173,12 +175,16 @@ func appendNodeDescriptor(buf []byte, n *Node) []byte {
 
 // canonicalOrder fills cs.order with the node positions in BFS order
 // from the sorted pvars, with deterministic tie-breaking; unreachable
-// nodes follow in descriptor order. cs.spaths and the descriptor arena
-// are left holding the per-position SPATH sets and tie-break keys.
+// nodes follow in descriptor order. cs.index, cs.spaths and the
+// descriptor arena are left holding g's position index and the
+// per-position SPATH sets and tie-break keys, and cs.tied whether a
+// tie-break fell back to positions.
 func canonicalOrder(g *Graph, cs *canonScratch) {
 	n := len(g.ids)
+	cs.tied = false
+	cs.index.build(g)
 	cs.spaths = grow(cs.spaths, n)
-	cs.paths, cs.counts = g.spathsByPos(cs.spaths, cs.paths, cs.counts)
+	cs.paths, cs.counts = g.spathsByPos(cs.spaths, cs.paths, cs.counts, &cs.index)
 	// One arena holds every node's tie-break key, its descriptor, '@'
 	// and its SPATH; keyOff and descEnd index it by position.
 	cs.arena = cs.arena[:0]
@@ -203,7 +209,7 @@ func canonicalOrder(g *Graph, cs *canonScratch) {
 	}
 	cs.queue = cs.queue[:0]
 	for _, e := range g.pl {
-		t := g.posOf(e.id)
+		t := int(cs.index.pos[e.id])
 		if !cs.seen[t] {
 			push(t)
 			cs.queue = append(cs.queue, t)
@@ -211,12 +217,12 @@ func canonicalOrder(g *Graph, cs *canonScratch) {
 	}
 	for qi := 0; qi < len(cs.queue); qi++ {
 		pos := cs.queue[qi]
-		run := g.outRun(g.ids[pos])
+		run := cs.index.outRun(g, pos)
 		for i := 0; i < len(run); {
 			sel := run[i].sel
 			cs.targets = cs.targets[:0]
 			for ; i < len(run) && run[i].sel == sel; i++ {
-				cs.targets = append(cs.targets, g.posOf(run[i].b))
+				cs.targets = append(cs.targets, int(cs.index.pos[run[i].b]))
 			}
 			slices.SortFunc(cs.targets, func(a, b int) int {
 				if cs.seen[a] != cs.seen[b] {

@@ -28,14 +28,15 @@ func (g *Graph) SPathOf(id NodeID) SPathSet {
 // node; the allocation-sensitive core shared by spathSets and the
 // canonical encoder. The sets are capped windows of one backing array,
 // grown from paths; counts is scratch for the per-node path counts.
-// Both are returned so pooled callers keep their capacity.
+// Both are returned so pooled callers keep their capacity. x is g's
+// position index.
 //
 // Appending in (pl, out-run) order yields every set sorted by (Pvar,
 // Sel) without duplicates, so no set needs Add: pl is in pvar-name
 // order, a pvar's zero-length path is appended before its one-length
 // ones, an out-run is in selector-name order, and NL holds each
 // <src, sel, dst> once.
-func (g *Graph) spathsByPos(sets []SPathSet, paths []SPath, counts []int32) ([]SPath, []int32) {
+func (g *Graph) spathsByPos(sets []SPathSet, paths []SPath, counts []int32, x *posIndex) ([]SPath, []int32) {
 	clear(sets)
 	if len(g.pl) == 0 {
 		return paths, counts
@@ -44,10 +45,11 @@ func (g *Graph) spathsByPos(sets []SPathSet, paths []SPath, counts []int32) ([]S
 	clear(counts)
 	total := 0
 	for _, e := range g.pl {
-		counts[g.posOf(e.id)]++
-		run := g.outRun(e.id)
+		p := x.pos[e.id]
+		counts[p]++
+		run := x.outRun(g, int(p))
 		for _, ed := range run {
-			counts[g.posOf(ed.b)]++
+			counts[x.pos[ed.b]]++
 		}
 		total += 1 + len(run)
 	}
@@ -66,14 +68,14 @@ func (g *Graph) spathsByPos(sets []SPathSet, paths []SPath, counts []int32) ([]S
 	var ssnap *symSnap
 	for _, e := range g.pl {
 		pname := psnap.names[e.sym-1]
-		p := g.posOf(e.id)
+		p := x.pos[e.id]
 		sets[p].paths = append(sets[p].paths, SPath{Pvar: pname})
-		run := g.outRun(e.id)
+		run := x.outRun(g, int(p))
 		if len(run) > 0 && ssnap == nil {
 			ssnap = selTab.load()
 		}
 		for _, ed := range run {
-			q := g.posOf(ed.b)
+			q := x.pos[ed.b]
 			sets[q].paths = append(sets[q].paths, SPath{Pvar: pname, Sel: ssnap.names[ed.sel-1]})
 		}
 	}
@@ -88,7 +90,10 @@ func (g *Graph) spathSets() []SPathSet {
 		return g.cSPaths
 	}
 	sets := make([]SPathSet, len(g.ids))
-	g.spathsByPos(sets, nil, nil)
+	ws := getWorkScratch()
+	ws.index.build(g)
+	_, ws.counts = g.spathsByPos(sets, nil, ws.counts, &ws.index)
+	putWorkScratch(ws)
 	return sets
 }
 

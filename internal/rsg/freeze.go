@@ -31,13 +31,15 @@ func (g *Graph) Freeze() *Graph {
 // probes the digest before deciding whether the freeze is needed),
 // computed in cs. The flat encoding already *is* the sorted view, so
 // besides the digest, freezing pins only what the RSRSG reduction reads
-// per graph pair: the alias key and the positional SPATH sets, copied
-// out of the ones the digest built in cs. Views only output code reads,
-// such as Links and Pvars, are computed on demand. rec counts the
-// freeze.
+// per graph pair: the alias key, the positional SPATH sets, copied out
+// of the ones the digest built in cs, and whether the digest's
+// canonical order was decided by tie-break keys alone (JoinSubsumed
+// reads it). Views only output code reads, such as Links and Pvars,
+// are computed on demand. rec counts the freeze.
 func (g *Graph) freezeWithDigest(d Digest, cs *canonScratch, rec *RunStats) *Graph {
 	g.cAlias = aliasKey(g)
 	g.cSPaths = copySPathSets(cs.spaths)
+	g.tieFree = !cs.tied
 	g.frozen = true
 	g.digest = d
 	rec.addFrozen()

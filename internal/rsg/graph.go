@@ -63,7 +63,10 @@ type Graph struct {
 	// method panics, the alias key and SPATH sets are served from the
 	// caches built at freeze time, and the canonical digest is memoized.
 	// Callers must treat slices returned by a frozen graph as read-only.
+	// tieFree, pinned with the digest, records that the canonical order
+	// never fell back to positions (see Signature).
 	frozen  bool
+	tieFree bool
 	digest  Digest
 	cAlias  string
 	cSPaths []SPathSet // parallel to ids

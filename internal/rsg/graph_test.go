@@ -1,6 +1,9 @@
 package rsg
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestGraphBasics(t *testing.T) {
 	g := NewGraph()
@@ -227,6 +230,32 @@ func TestPosOfMatchesLinearScan(t *testing.T) {
 	}
 	if holey < 300 {
 		t.Fatalf("only %d of 1500 fixture graphs have holes in their ID range", holey)
+	}
+}
+
+// TestPosIndexMatchesLookups checks the digest path's position index
+// against posOf for every ID from 0 to nextID, holes included, and
+// against outRun for every position, on the same fixtures as
+// TestPosOfMatchesLinearScan.
+func TestPosIndexMatchesLookups(t *testing.T) {
+	var x posIndex
+	for seed := int64(0); seed < 300; seed++ {
+		for gi, g := range kernelGraphs(seed) {
+			x.build(g)
+			if len(x.pos) != int(g.nextID)+1 {
+				t.Fatalf("seed %d graph %d: %d index entries for nextID %d", seed, gi, len(x.pos), g.nextID)
+			}
+			for id := range x.pos {
+				if got, want := int(x.pos[id]), g.posOf(NodeID(id)); got != want {
+					t.Fatalf("seed %d graph %d: index has n%d at %d, posOf %d (ids %v)", seed, gi, id, got, want, g.ids)
+				}
+			}
+			for p, id := range g.ids {
+				if got, want := x.outRun(g, p), g.outRun(id); !slices.Equal(got, want) {
+					t.Fatalf("seed %d graph %d: index out-run of n%d %v, outRun %v", seed, gi, id, got, want)
+				}
+			}
+		}
 	}
 }
 

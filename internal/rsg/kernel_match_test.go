@@ -163,3 +163,134 @@ func TestCompressMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestJoinSubsumedMatchesFullJoin holds JoinSubsumed's shortcut to the
+// full path: whenever it names an operand instead of building, that
+// operand's digest is the digest of Compress(Join(g1, g2)), and
+// otherwise it builds that graph. The pairs are every COMPATIBLE pair
+// of distinct barneshut and matvec out-state graphs in both orders; the
+// COMPATIBLE pairs of each seed's kernelGraphs, compressed and frozen;
+// and absorbFixtures. The shortcut must fire at least 100 times for
+// each operand.
+func TestJoinSubsumedMatchesFullJoin(t *testing.T) {
+	var named [3]int // built, g1 named, g2 named
+	check := func(t *testing.T, lvl rsg.Level, what string, g1, g2 *rsg.Graph) {
+		t.Helper()
+		joined, keep := rsg.JoinSubsumed(lvl, g1, g2)
+		full := rsg.Join(lvl, g1, g2)
+		rsg.Compress(full, lvl)
+		got := joined
+		switch keep {
+		case nil:
+			named[0]++
+		case g1:
+			named[1]++
+			got = g1
+		case g2:
+			named[2]++
+			got = g2
+		default:
+			t.Fatalf("%s: JoinSubsumed kept a graph that is neither operand", what)
+		}
+		if got.Digest() != full.Digest() {
+			t.Fatalf("%s: JoinSubsumed (kept operand %v) differs from Compress(Join)\ng1 %s\ng2 %s\njoin %s",
+				what, keep != nil, g1, g2, full)
+		}
+	}
+	for _, src := range graphSources() {
+		for _, lvl := range levels {
+			t.Run(fmt.Sprintf("%s/%s", src.name, lvl), func(t *testing.T) {
+				if src.name == "random" {
+					for seed := int64(0); seed < 64; seed++ {
+						var gs []*rsg.Graph
+						for _, g := range rsg.KernelGraphs(seed) {
+							c := g.Clone()
+							rsg.Compress(c, lvl)
+							gs = append(gs, c.Freeze())
+						}
+						for i, g1 := range gs {
+							for j, g2 := range gs {
+								if i != j && rsg.Compatible(lvl, g1, g2) {
+									check(t, lvl, fmt.Sprintf("seed %d graphs %d, %d", seed, i, j), g1, g2)
+								}
+							}
+						}
+					}
+					return
+				}
+				buckets := map[string][]*rsg.Graph{}
+				for _, g := range src.graphs(t, lvl) {
+					k := rsg.AliasKey(g)
+					buckets[k] = append(buckets[k], g)
+				}
+				for k, gs := range buckets {
+					for i, g1 := range gs {
+						for j, g2 := range gs {
+							if i != j && rsg.Compatible(lvl, g1, g2) {
+								check(t, lvl, fmt.Sprintf("alias %q graphs %d, %d", k, i, j), g1, g2)
+							}
+						}
+					}
+				}
+			})
+		}
+	}
+	for _, fx := range absorbFixtures() {
+		check(t, rsg.L1, fx.name, fx.g1, fx.g2)
+	}
+	t.Logf("built %d, g1 named %d, g2 named %d", named[0], named[1], named[2])
+	if named[1] < 100 || named[2] < 100 {
+		t.Fatalf("the shortcut named g1 %d and g2 %d times, want at least 100 each", named[1], named[2])
+	}
+}
+
+// absorbFixtures returns hand-built pairs for the two conditions of the
+// shortcut that no COMPATIBLE pair of COMPRESS fixpoints needs:
+//
+//   - "tie": g2 is g1 plus a twin of g1's second node, so the join is
+//     isomorphic to g2 and meets every other condition for g2 to absorb
+//     g1; but the twins tie in g2's canonical order, and compressing the
+//     join merges them.
+//   - "pvar": g1 and g2 are one node with pvar z, and g2 also has pvar
+//     x on it. Every node of g2 is matched and merges into g1's, but
+//     the join has x, so g1 does not absorb g2 (g2 absorbs g1).
+func absorbFixtures() []struct {
+	name   string
+	g1, g2 *rsg.Graph
+} {
+	node := func(g *rsg.Graph, in, out string) *rsg.Node {
+		n := g.AddNode(rsg.NewNode("fx"))
+		n.Singleton = true
+		if in != "" {
+			n.MarkDefiniteIn(in)
+		}
+		if out != "" {
+			n.MarkDefiniteOut(out)
+		}
+		return n
+	}
+	tied := func(twins int) *rsg.Graph {
+		g := rsg.NewGraph()
+		r := node(g, "", "s")
+		g.SetPvar("x", r.ID)
+		for ; twins > 0; twins-- {
+			g.AddLink(r.ID, "s", node(g, "s", "").ID)
+		}
+		return g.Freeze()
+	}
+	single := func(pvars ...string) *rsg.Graph {
+		g := rsg.NewGraph()
+		n := node(g, "", "")
+		for _, p := range pvars {
+			g.SetPvar(p, n.ID)
+		}
+		return g.Freeze()
+	}
+	return []struct {
+		name   string
+		g1, g2 *rsg.Graph
+	}{
+		{"tie", tied(1), tied(2)},
+		{"pvar", single("z"), single("x", "z")},
+	}
+}

@@ -1,5 +1,7 @@
 package rsg
 
+import "slices"
+
 // MergeNodes implements the paper's MERGE_NODES(n1, n2) = n (Sect. 3.1).
 // It builds the summary node that stands for all locations of n1 and n2.
 // g1 and g2 supply the NL context of each node for the CYCLELINKS merge
@@ -55,6 +57,14 @@ func mergeNodes(g1 *Graph, n1 *Node, g2 *Graph, n2 *Node, intraGraph bool) Node 
 	// unused. Union keeps the merge conservative either way.
 	n.Touch = n1.Touch.Union(n2.Touch)
 	return n
+}
+
+// sameProperties reports whether two nodes agree on every property;
+// their IDs are not compared.
+func sameProperties(a, b *Node) bool {
+	return a.Singleton == b.Singleton && sameSummaryProperties(a, b) &&
+		a.PosSelIn.Equal(b.PosSelIn) && a.PosSelOut.Equal(b.PosSelOut) &&
+		slices.Equal(a.Cycle.pairs, b.Cycle.pairs)
 }
 
 // mergeCycleLinks applies the paper's CYCLELINKS merge rule. A pair

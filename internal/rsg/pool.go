@@ -16,6 +16,7 @@ import (
 // copied (or hashed) before put, and pointerful slices are cleared so
 // the pool does not pin dead graphs.
 type canonScratch struct {
+	index   posIndex
 	spaths  []SPathSet
 	paths   []SPath // backing array of spaths
 	counts  []int32 // per-node path counts while spaths is built
@@ -29,6 +30,9 @@ type canonScratch struct {
 	targets []int
 	dsts    []int
 	sig     []byte // signature accumulation buffer
+	// tied records that compareKeys fell back to positions: two nodes
+	// of one sort group had equal tie-break keys.
+	tied bool
 }
 
 // key returns the tie-break key of a node position: its descriptor, '@'
@@ -39,11 +43,12 @@ func (cs *canonScratch) key(pos int) []byte {
 
 // compareKeys orders two node positions by tie-break key, then by
 // position: a strict total order, so any sorting algorithm yields the
-// same canonical order.
+// same canonical order. Falling back to positions sets cs.tied.
 func (cs *canonScratch) compareKeys(a, b int) int {
 	if c := bytes.Compare(cs.key(a), cs.key(b)); c != 0 {
 		return c
 	}
+	cs.tied = true
 	return a - b
 }
 
@@ -76,6 +81,7 @@ func putCanonScratch(cs *canonScratch) {
 	cs.targets = cs.targets[:0]
 	cs.dsts = cs.dsts[:0]
 	cs.sig = cs.sig[:0]
+	cs.tied = false
 	canonPool.Put(cs)
 }
 
@@ -93,6 +99,7 @@ type workScratch struct {
 	comp    []int32
 	parent  []int32
 	buckets []bucketEntry
+	index   posIndex
 	spaths  []SPathSet
 	paths   []SPath
 	counts  []int32
@@ -145,8 +152,41 @@ func putWorkScratch(ws *workScratch) {
 // built in the scratch's buffers: valid until the scratch is put back.
 func (ws *workScratch) spathSets(g *Graph) []SPathSet {
 	ws.spaths = grow(ws.spaths, len(g.ids))
-	ws.paths, ws.counts = g.spathsByPos(ws.spaths, ws.paths, ws.counts)
+	ws.index.build(g)
+	ws.paths, ws.counts = g.spathsByPos(ws.spaths, ws.paths, ws.counts, &ws.index)
 	return ws.spaths
+}
+
+// posIndex answers what posOf and outRun answer by binary search, for
+// every node of one graph, from two slices built in one pass each: the
+// digest path asks once per link (DESIGN.md §10).
+type posIndex struct {
+	pos      []int32 // pos[id] is the position of node id, -1 for a hole
+	outStart []int32 // outE[outStart[p]:outStart[p+1]] is position p's out-run
+}
+
+// build indexes g, reusing the slices' capacity. outE is sorted by
+// source ID, which is position order, so the runs start in turn.
+func (x *posIndex) build(g *Graph) {
+	x.pos = grow(x.pos, int(g.nextID)+1)
+	for i := range x.pos {
+		x.pos[i] = -1
+	}
+	x.outStart = grow(x.outStart, len(g.ids)+1)
+	k := 0
+	for p, id := range g.ids {
+		x.pos[id] = int32(p)
+		x.outStart[p] = int32(k)
+		for k < len(g.outE) && g.outE[k].a == id {
+			k++
+		}
+	}
+	x.outStart[len(g.ids)] = int32(k)
+}
+
+// outRun returns the out-run of the node at position p.
+func (x *posIndex) outRun(g *Graph, p int) []edge {
+	return g.outE[x.outStart[p]:x.outStart[p+1]]
 }
 
 // grow returns s resized to n, reusing capacity. The contents are

@@ -2,13 +2,14 @@ package rsg
 
 import "sync/atomic"
 
-// RunStats counts the digest, freeze and intern work done on behalf of
-// one analysis run. It is the package's only tally: there is no
-// process-wide twin, so a process running several analyses at once
+// RunStats counts the digest, freeze, intern and join work done on
+// behalf of one analysis run. It is the package's only tally: there is
+// no process-wide twin, so a process running several analyses at once
 // (the daemon's steady state) still reports each run's own work. The
 // work is recorded by the recorder-aware entry points (InternStats,
-// DigestStats, and the freeze an intern miss performs); Freeze, Digest
-// and Intern record nothing.
+// DigestStats, and the freeze an intern miss performs) and by the RSRSG
+// reduction's joins (AddJoin); Freeze, Digest and Intern record
+// nothing.
 //
 // A nil *RunStats is valid everywhere and records nothing.
 type RunStats struct {
@@ -17,7 +18,20 @@ type RunStats struct {
 	digestHits      atomic.Uint64
 	internHits      atomic.Uint64
 	internMisses    atomic.Uint64
+	joins           [3]atomic.Uint64 // indexed by JoinOutcome
 }
+
+// JoinOutcome is how the RSRSG reduction answered one join request.
+type JoinOutcome int
+
+const (
+	// JoinHit is a request served from the join cache.
+	JoinHit JoinOutcome = iota
+	// JoinAbsorbed is a request JoinSubsumed answered with an operand.
+	JoinAbsorbed
+	// JoinBuilt is a request that built JOIN and ran COMPRESS.
+	JoinBuilt
+)
 
 // CacheStats is a snapshot of one RunStats. The intern table's current
 // size is not a counter; InternedGraphs reports it.
@@ -37,6 +51,11 @@ type CacheStats struct {
 	// form can miss more than once.
 	InternHits   uint64
 	InternMisses uint64
+	// JoinHits, JoinsAbsorbed and JoinsBuilt count the RSRSG
+	// reduction's join requests by outcome (JoinOutcome).
+	JoinHits      uint64
+	JoinsAbsorbed uint64
+	JoinsBuilt    uint64
 	// PoolGets and PoolNews are always 0: the scratch pools are not
 	// counted. The fields stay only because the repository benchmark
 	// (perfbench) still reads them.
@@ -74,6 +93,13 @@ func (r *RunStats) addInternMiss() {
 	}
 }
 
+// AddJoin counts one join request answered by o.
+func (r *RunStats) AddJoin(o JoinOutcome) {
+	if r != nil {
+		r.joins[o].Add(1)
+	}
+}
+
 // Snapshot returns the counters recorded so far; a nil recorder reads
 // all zero.
 func (r *RunStats) Snapshot() CacheStats {
@@ -86,6 +112,9 @@ func (r *RunStats) Snapshot() CacheStats {
 		DigestCacheHits: r.digestHits.Load(),
 		InternHits:      r.internHits.Load(),
 		InternMisses:    r.internMisses.Load(),
+		JoinHits:        r.joins[JoinHit].Load(),
+		JoinsAbsorbed:   r.joins[JoinAbsorbed].Load(),
+		JoinsBuilt:      r.joins[JoinBuilt].Load(),
 	}
 }
 

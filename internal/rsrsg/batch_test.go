@@ -17,16 +17,16 @@ func TestMergeDeltaBatchMatchesSequential(t *testing.T) {
 		for seed := int64(0); seed < 8; seed++ {
 			r := rand.New(rand.NewSource(seed))
 			opts := Options{}
-			base := FromGraphs(lvl, randomGraphs(r, 4), opts)
+			base := FromGraphs(lvl, randomGraphs(r, 4, lvl), opts)
 			seq, bat := New(), New()
 			seq.MergeDeltaBatch(lvl, []*Set{base}, opts)
 			bat.MergeDeltaBatch(lvl, []*Set{base}, opts)
 
 			contribs := []*Set{
-				FromGraphs(lvl, randomGraphs(r, 3), opts),
+				FromGraphs(lvl, randomGraphs(r, 3, lvl), opts),
 				nil, // nil and empty contributions must be skipped
 				New(),
-				FromGraphs(lvl, randomGraphs(r, 5), opts),
+				FromGraphs(lvl, randomGraphs(r, 5, lvl), opts),
 				base, // fully-absorbed repeat: dismissed O(1)
 			}
 			seqChanged := false

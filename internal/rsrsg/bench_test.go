@@ -1,6 +1,8 @@
 package rsrsg_test
 
 import (
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"testing"
@@ -15,6 +17,15 @@ import (
 // the distinct graphs of every statement's out-state at the barneshut
 // L1 fixed point. They live in the external test package so that they
 // can run the analysis.
+//
+// Join results and interned graphs are held weakly, so a collection in
+// the middle of an iteration turns a later cache or intern hit into a
+// recomputation and moves allocs/op; and the scratch pools are per P,
+// so a goroutine that moves to another P misses them. Each benchmark
+// therefore runs on one P, which its sequential reductions do not
+// share, and each iteration with collection off, after a collection
+// made with the timer stopped: allocs/op repeats exactly, and ns/op
+// excludes collection.
 
 var (
 	outStatesOnce sync.Once
@@ -51,6 +62,24 @@ func barnesOutStates(b *testing.B) []*rsg.Graph {
 	return outStates
 }
 
+// quiet runs the rest of b on one P with automatic collection off,
+// restoring both settings when b ends.
+func quiet(b *testing.B) {
+	procs := runtime.GOMAXPROCS(1)
+	gc := debug.SetGCPercent(-1)
+	b.Cleanup(func() {
+		debug.SetGCPercent(gc)
+		runtime.GOMAXPROCS(procs)
+	})
+}
+
+// collect runs a collection with b's timer stopped.
+func collect(b *testing.B) {
+	b.StopTimer()
+	runtime.GC()
+	b.StartTimer()
+}
+
 // barnesParts deals the out-state graphs round-robin into n unreduced
 // sets, standing in for the transfer parts and contributions a
 // statement receives.
@@ -72,11 +101,13 @@ func BenchmarkReduce(b *testing.B) {
 	for _, g := range barnesOutStates(b) {
 		all.Add(g)
 	}
+	quiet(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		s := all.Clone()
+		runtime.GC()
 		b.StartTimer()
 		s.Reduce(rsg.L1, rsrsg.Options{})
 	}
@@ -88,9 +119,11 @@ func BenchmarkReduce(b *testing.B) {
 // engine keeps one per run.
 func BenchmarkMergeDeltaBatch(b *testing.B) {
 	parts := barnesParts(b, 32)
+	quiet(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		collect(b)
 		opts := rsrsg.Options{Joins: rsrsg.NewJoinCache()}
 		in := rsrsg.New()
 		for k := 0; k+1 < len(parts); k += 2 {
@@ -104,9 +137,11 @@ func BenchmarkMergeDeltaBatch(b *testing.B) {
 // each call re-reduces the alias buckets the part touches.
 func BenchmarkAccumMergeDeltaDirty(b *testing.B) {
 	parts := barnesParts(b, 32)
+	quiet(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		collect(b)
 		opts := rsrsg.Options{Joins: rsrsg.NewJoinCache()}
 		acc := rsrsg.NewAccum(rsg.L1)
 		for _, p := range parts {

@@ -56,11 +56,11 @@ func TestMergeDeltaReportsExactMembershipDelta(t *testing.T) {
 				case 5:
 					// Duplicate digests: re-send an earlier round's
 					// graphs mixed with fresh ones.
-					gs := randomGraphs(rand.New(rand.NewSource(seed)), 4)
-					gs = append(gs, randomGraphs(r, 3)...)
+					gs := randomGraphs(rand.New(rand.NewSource(seed)), 4, lvl)
+					gs = append(gs, randomGraphs(r, 3, lvl)...)
 					contribution = FromGraphs(lvl, gs, Options{})
 				default:
-					contribution = FromGraphs(lvl, randomGraphs(r, 5), Options{})
+					contribution = FromGraphs(lvl, randomGraphs(r, 5, lvl), Options{})
 				}
 				d := s.MergeDeltaBatch(lvl, []*Set{contribution}, Options{})
 				for i := 1; i < len(d.Added); i++ {
@@ -106,11 +106,11 @@ func TestAccumMatchesFullReduce(t *testing.T) {
 					i := r.Intn(len(live))
 					remove = append(remove, live[i])
 					live = append(live[:i], live[i+1:]...)
-					add = append(add, FromGraphs(lvl, randomGraphs(r, 3), Options{}))
+					add = append(add, FromGraphs(lvl, randomGraphs(r, 3, lvl), Options{}))
 					live = append(live, add[0])
 				default:
 					for n := 1 + r.Intn(2); n > 0; n-- {
-						p := FromGraphs(lvl, randomGraphs(r, 3), Options{})
+						p := FromGraphs(lvl, randomGraphs(r, 3, lvl), Options{})
 						add = append(add, p)
 						live = append(live, p)
 					}
@@ -163,7 +163,7 @@ func TestAccumParallelMatchesSequential(t *testing.T) {
 		seq := NewAccum(rsg.L1)
 		par := NewAccum(rsg.L1)
 		for step := 0; step < 6; step++ {
-			p := FromGraphs(rsg.L1, randomGraphs(r, 6), Options{})
+			p := FromGraphs(rsg.L1, randomGraphs(r, 6, rsg.L1), Options{})
 			so, _ := seq.MergeDeltaDirty([]*Set{p}, nil, Options{})
 			po, _ := par.MergeDeltaDirty([]*Set{p}, nil, Options{Exec: goExec})
 			if !so.Equal(po) {

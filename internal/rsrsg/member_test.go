@@ -65,7 +65,7 @@ func TestSetMembershipMatchesOracle(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		var pool []*rsg.Graph
-		for _, g := range randomGraphs(r, 30) {
+		for _, g := range randomGraphs(r, 30, rsg.L1) {
 			pool = append(pool, rsg.Intern(g))
 		}
 		// pick returns a random graph of pool that is a member of o

@@ -25,8 +25,10 @@ func goExec(tasks []func()) {
 
 // randomGraphs builds a population of list/tree-shaped graphs spread
 // over several alias classes so Reduce and MergeDeltaBatch exercise
-// multiple buckets with joinable members.
-func randomGraphs(r *rand.Rand, n int) []*rsg.Graph {
+// multiple buckets with joinable members. Each graph is compressed at
+// lvl, the level its caller reduces at: set members are COMPRESS
+// fixpoints (Set.Add).
+func randomGraphs(r *rand.Rand, n int, lvl rsg.Level) []*rsg.Graph {
 	pvarSets := [][]string{{"x"}, {"y"}, {"x", "y"}, {"x", "z"}, {"z"}}
 	var out []*rsg.Graph
 	for i := 0; i < n; i++ {
@@ -52,6 +54,7 @@ func randomGraphs(r *rand.Rand, n int) []*rsg.Graph {
 			}
 			prev = c
 		}
+		rsg.Compress(g, lvl)
 		out = append(out, g)
 	}
 	return out
@@ -63,7 +66,7 @@ func randomGraphs(r *rand.Rand, n int) []*rsg.Graph {
 func TestReduceParallelMatchesSequential(t *testing.T) {
 	for _, lvl := range []rsg.Level{rsg.L1, rsg.L2, rsg.L3} {
 		for seed := int64(0); seed < 8; seed++ {
-			graphs := randomGraphs(rand.New(rand.NewSource(seed)), 24)
+			graphs := randomGraphs(rand.New(rand.NewSource(seed)), 24, lvl)
 			seq := New()
 			par := New()
 			for _, g := range graphs {
@@ -90,7 +93,7 @@ func TestMergeDeltaParallelMatchesSequential(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			seq, par := New(), New()
 			for step := 0; step < 6; step++ {
-				contribution := FromGraphs(lvl, randomGraphs(r, 6), Options{})
+				contribution := FromGraphs(lvl, randomGraphs(r, 6, lvl), Options{})
 				seqChanged := !seq.MergeDeltaBatch(lvl, []*Set{contribution}, Options{}).Empty()
 				parChanged := !par.MergeDeltaBatch(lvl, []*Set{contribution}, Options{Exec: goExec}).Empty()
 				if seqChanged != parChanged {
@@ -112,7 +115,7 @@ func TestUnionAllWithExec(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	var parts []*Set
 	for i := 0; i < 5; i++ {
-		parts = append(parts, FromGraphs(rsg.L1, randomGraphs(r, 5), Options{}))
+		parts = append(parts, FromGraphs(rsg.L1, randomGraphs(r, 5, rsg.L1), Options{}))
 	}
 	seq := UnionAll(rsg.L1, parts, Options{})
 	par := UnionAll(rsg.L1, parts, Options{Exec: goExec})

@@ -86,10 +86,14 @@ func NewJoinCache() *JoinCache {
 }
 
 // join is JOIN+COMPRESS in interned entry form through the cache; a nil
-// receiver recomputes. rec attributes a cache miss's intern work to the
-// calling run; a cache hit touches no counters (the entry's keys were
-// computed when it was first joined). A hit whose graph was collected
-// is a miss.
+// receiver recomputes. When one operand already absorbs the other,
+// rsg.JoinSubsumed names it and the join is that operand's entry, with
+// nothing built, digested or interned; that is exact because both
+// operands are set members, and so COMPRESS fixpoints at lvl (Set.Add).
+// rec counts the request's outcome and attributes a built join's intern
+// work to the calling run; a cache hit touches no other counter (the
+// entry's keys were computed when it was first joined). A hit whose
+// graph was collected is a miss.
 func (c *JoinCache) join(lvl rsg.Level, a, b entry, rec *rsg.RunStats) entry {
 	k := joinKey{lvl: lvl, a: a.dig, b: b.dig}
 	if c != nil {
@@ -97,12 +101,22 @@ func (c *JoinCache) join(lvl rsg.Level, a, b entry, rec *rsg.RunStats) entry {
 		je := c.joined[k]
 		c.mu.Unlock()
 		if g := je.g.Value(); g != nil {
+			rec.AddJoin(rsg.JoinHit)
 			return entry{g: g, dig: je.dig, alias: je.alias}
 		}
 	}
-	merged := rsg.Join(lvl, a.g, b.g)
-	rsg.Compress(merged, lvl)
-	e := newEntry(merged, rec)
+	var e entry
+	switch merged, keep := rsg.JoinSubsumed(lvl, a.g, b.g); keep {
+	case nil:
+		rec.AddJoin(rsg.JoinBuilt)
+		e = newEntry(merged, rec)
+	case a.g:
+		rec.AddJoin(rsg.JoinAbsorbed)
+		e = a
+	default:
+		rec.AddJoin(rsg.JoinAbsorbed)
+		e = b
+	}
 	if c != nil {
 		c.mu.Lock()
 		if len(c.joined) >= joinCacheCap {
@@ -149,6 +163,8 @@ func New() *Set { return &Set{} }
 
 // FromGraphs builds a reduced set from the given graphs at the given
 // level: graphs are deduplicated, then compatible graphs are joined.
+// Like every graph added to a set, each must be a COMPRESS fixpoint at
+// lvl (see Set.Add).
 func FromGraphs(lvl rsg.Level, graphs []*rsg.Graph, opts Options) *Set {
 	s := &Set{entries: make([]entry, 0, len(graphs))}
 	for _, g := range graphs {
@@ -166,6 +182,9 @@ func FromGraphs(lvl rsg.Level, graphs []*rsg.Graph, opts Options) *Set {
 type Exec func(tasks []func())
 
 // Options tunes the reduction. The zero value is the paper's behaviour.
+// Every reduction joins set members only, so its operands are COMPRESS
+// fixpoints at its level (see Set.Add), which lets a join answered by
+// one of its operands skip JOIN and COMPRESS (JoinCache.join).
 type Options struct {
 	// Exec, when non-nil, runs the per-alias-bucket reduction tasks of
 	// Reduce, MergeDeltaBatch and Accum.MergeDeltaDirty concurrently.
@@ -202,6 +221,13 @@ func (o Options) run(tasks []func()) {
 }
 
 // Add freezes g and inserts it if no digest-identical graph is present.
+//
+// g must be a COMPRESS fixpoint at the level the set is reduced at:
+// rsg.Compress(g.Clone(), lvl) merges nothing. The analysis keeps this
+// contract: every step function ends in Compress or returns its input,
+// every join result is compressed, and the store restores members
+// written at the same level. The reduction relies on it to answer a
+// join with an operand (JoinCache.join).
 func (s *Set) Add(g *rsg.Graph) bool {
 	return s.AddStats(g, nil)
 }

@@ -110,9 +110,10 @@ func TestJoinCacheRecomputesCollected(t *testing.T) {
 	if st := rec.Snapshot(); st.GraphsFrozen != 1 || st.InternMisses != 1 {
 		t.Fatalf("recomputed join: %d frozen, %d intern misses, want 1 and 1", st.GraphsFrozen, st.InternMisses)
 	}
-	// A result that is still held is a hit again, touching no counter.
+	// A result that is still held is a hit again, touching no counter
+	// but its own.
 	hit := &rsg.RunStats{}
-	if again := jc.join(rsg.L1, a, b, hit); again.g != e.g || hit.Snapshot() != (rsg.CacheStats{}) {
+	if again := jc.join(rsg.L1, a, b, hit); again.g != e.g || hit.Snapshot() != (rsg.CacheStats{JoinHits: 1}) {
 		t.Fatalf("join of a held result: same graph %v, counters %+v", again.g == e.g, hit.Snapshot())
 	}
 }
