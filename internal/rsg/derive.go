@@ -236,10 +236,12 @@ func (g *Graph) CollectGarbage() int {
 	return removed
 }
 
-// DefiniteLink reports whether <src, sel, dst> holds in *every* concrete
-// configuration the graph covers: the source is a singleton whose sel
-// reference definitely exists (sel in SELOUT) and dst is its only
-// possible target.
+// DefiniteLink reports whether <src, sel, dst> holds in every concrete
+// configuration the graph covers in which the source's location exists:
+// the source is a singleton whose sel reference definitely exists (sel
+// in SELOUT) and dst is its only possible target. After JOIN the source
+// may be empty in some covered configurations; InhabitedNodes names the
+// sources that exist in all of them.
 func (g *Graph) DefiniteLink(src NodeID, sel string, dst NodeID) bool {
 	return g.definiteLinkSym(src, selTab.lookup(sel), dst)
 }

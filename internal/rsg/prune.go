@@ -163,6 +163,24 @@ func (g *Graph) anchoredByPos(marks []bool) {
 	}
 }
 
+// InhabitedNodes returns the nodes anchoredByPos marks: those that
+// represent at least one location in every concrete configuration the
+// graph covers. After JOIN a node may be empty in some of the
+// configurations its graph covers, because embeddings are not
+// surjective, so a definite link (DefiniteLink) proves something about
+// every configuration only when its source is one of these.
+func (g *Graph) InhabitedNodes() map[NodeID]bool {
+	marks := make([]bool, len(g.ids))
+	g.anchoredByPos(marks)
+	out := make(map[NodeID]bool, len(marks))
+	for pos, ok := range marks {
+		if ok {
+			out[g.ids[pos]] = true
+		}
+	}
+	return out
+}
+
 // shareProneSelPrune applies rule 2's per-selector eviction to one
 // singleton node; reports whether a link was removed. A definite link
 // counts as an eviction witness only when its source is anchored (see

@@ -284,6 +284,7 @@ func killSafe(g *rsg.Graph, s *ir.Stmt, kind killKind) (string, bool) {
 	if len(targets) == 0 {
 		return "", true
 	}
+	k.inhabited = g.InhabitedNodes()
 	anchored := k.anchoredNodes(targets)
 	for _, t := range targets {
 		if !anchored[t] {
@@ -301,6 +302,9 @@ type kill struct {
 	killedPvar rsg.Sym    // pvar whose reference dies (killPvar, killFree)
 	killedSel  rsg.Sym    // selector whose reference from xn dies (killSel)
 	freed      bool       // xn's cell is deallocated (killFree)
+	// inhabited holds the nodes that represent a location in every
+	// configuration the graph covers (rsg.Graph.InhabitedNodes).
+	inhabited map[rsg.NodeID]bool
 }
 
 // anchoredNodes computes the set of nodes whose every represented cell
@@ -311,8 +315,11 @@ type kill struct {
 //     all their concrete access paths avoid the killed references
 //     (any path using a killed reference immediately enters the cone).
 //   - A singleton referenced by a surviving pvar is anchored.
-//   - A singleton with a surviving definite link from an anchored
-//     source is anchored.
+//   - A singleton with a surviving definite link from an anchored,
+//     inhabited source is anchored. Inhabited (rsg.Graph.InhabitedNodes)
+//     means the source represents a location in every configuration the
+//     graph covers; after JOIN a node may be empty in some of them, and
+//     there its definite link proves nothing.
 //   - A node with a definite SELIN selector is anchored when every
 //     possible source of that selector is anchored and none of the
 //     selector's references died (each represented cell keeps at least
@@ -379,7 +386,7 @@ func (k *kill) nodeAnchored(n *rsg.Node, anchored map[rsg.NodeID]bool) bool {
 		}
 		for _, l := range g.InLinks(n.ID) {
 			src := l.Src
-			if !anchored[src] || (k.freed && src == k.xn) {
+			if !anchored[src] || !k.inhabited[src] || (k.freed && src == k.xn) {
 				continue
 			}
 			sel := rsg.SelSym(l.Sel)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/concrete"
 	"repro/internal/rsg"
 )
 
@@ -105,6 +106,65 @@ void main(void) {
 	txt := v.Witness.Text()
 	if !strings.Contains(txt, "strands cell") {
 		t.Errorf("leak witness text misses the stranded cell:\n%s", txt)
+	}
+}
+
+// strandedByJoinSrc is concrete.GenFreeProgram at source seed
+// 4562516553240252923. Once the loop has run twice, `r = p->prv`
+// (statement 22) overwrites r's only reference with NULL and strands
+// the cell r = malloc(...) allocated. At that statement one reaching
+// graph has a definite prv link into r's node from a singleton that
+// only a possible link reaches: JOIN left that singleton empty in some
+// of the configurations the graph covers, so its link proves nothing
+// there.
+const strandedByJoinSrc = `
+struct node { int v; struct node *nxt; struct node *prv; };
+void main(void) {
+    struct node *p;
+    struct node *q;
+    struct node *r;
+    free(q);
+    r = malloc(sizeof(struct node));
+    if (q != NULL) { q->prv = q; }
+    if (q != NULL) { q->nxt = r; }
+    if (p != NULL) { p->nxt = r; }
+    q = malloc(sizeof(struct node));
+    while (cond) {
+        if (p != NULL) { r = p->prv; }
+        p = q;
+        q = malloc(sizeof(struct node));
+        if (q != NULL) { q->prv = p; }
+    }
+    p = NULL;
+    if (q != NULL) { q->nxt = NULL; }
+    if (r != NULL) { r->nxt = NULL; }
+}`
+
+// TestLeakThroughJoinedEmptySource checks that a definite link out of a
+// node that may be empty does not anchor its target: the leak checker
+// must not settle SAFE on a program the interpreter sees leak.
+func TestLeakThroughJoinedEmptySource(t *testing.T) {
+	prog, err := Compile(strandedByJoinSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := concrete.RunSeed(prog, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stranded := false
+	for _, l := range tr.Leaks {
+		stranded = stranded || l.StmtID == 22
+	}
+	if !stranded {
+		t.Fatalf("concrete run at seed 2 records no leak at statement 22: %+v", tr.Leaks)
+	}
+	rep := Check(prog, Options{})
+	if rep.Err != nil {
+		t.Fatal(rep.Err)
+	}
+	if v := rep.VerdictFor(Leak); v.Status != Unsafe {
+		t.Fatalf("leak = %s, want unsafe", v)
 	}
 }
 
