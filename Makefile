@@ -90,9 +90,10 @@ bench:
 # Soundness fuzzing: randomized mini-C programs cross-validated against
 # the concrete interpreter at L1/L2/L3, plus the regression corpus.
 # Override the generator seed with FUZZ_SEED=N (the nightly job rotates
-# it); on a failure, replay the find with
-#   go run ./cmd/shapetriage -genseed <printed genseed>
-# and shrink it into internal/concrete/testdata/ (DESIGN.md §11).
+# it); a failure prints the command that replays the find, e.g.
+#   go run ./cmd/shapetriage -gen free -genseed <N> -level 1 -runs 10 -seed <S>
+# and adding -shrink distills it into internal/concrete/testdata/
+# (DESIGN.md §11).
 # `fuzz-short` is the CI slice: corpus sweep + a reduced fuzz pass.
 .PHONY: fuzz-short
 fuzz:

@@ -17,9 +17,10 @@
 //	-runs N      randomized concrete executions to cross-validate (default 50)
 //	-seed N      PRNG seed for the concrete traces (default 1)
 //	-genseed N   regenerate the fuzzer program of seed N instead of
-//	             reading a file (matches TestFuzzSoundness's "genseed"
-//	             failure output)
-//	-wide        with -genseed, use the wide-struct generator
+//	             reading a file (TestFuzzSoundness prints the whole
+//	             replay command on a failure)
+//	-gen G       with -genseed, the generator: plain (default), free
+//	             (mixes in free()) or wide (wide structs)
 //	-dot         print the side-by-side DOT pair (concrete heap +
 //	             nearest RSG, best partial embedding highlighted)
 //	-shrink      delta-debug the program to a minimal case that still
@@ -56,14 +57,14 @@ func main() {
 	runs := flag.Int("runs", 50, "randomized concrete executions")
 	seed := flag.Int64("seed", 1, "PRNG seed for the concrete traces")
 	genSeed := flag.Int64("genseed", 0, "regenerate the fuzzer program of this seed")
-	wide := flag.Bool("wide", false, "with -genseed, use the wide-struct generator")
+	gen := flag.String("gen", "plain", "with -genseed, the generator: plain, free or wide")
 	dot := flag.Bool("dot", false, "print the heap/RSG DOT pair on failure")
 	shrink := flag.Bool("shrink", false, "delta-debug to a minimal failing program")
 	outFile := flag.String("o", "", "with -shrink, write the minimal case here")
 	workers := flag.Int("workers", 0, "analysis worker goroutines")
 	flag.Parse()
 
-	src, name, err := loadSource(*genSeed, *wide)
+	src, name, err := loadSource(*genSeed, *gen)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "shapetriage:", err)
 		flag.PrintDefaults()
@@ -116,13 +117,20 @@ func main() {
 	os.Exit(1)
 }
 
-func loadSource(genSeed int64, wide bool) (src, name string, err error) {
+// generators maps -gen names to the soundness fuzzer's generators.
+var generators = map[string]func(*rand.Rand) string{
+	"plain": concrete.GenProgram,
+	"free":  concrete.GenFreeProgram,
+	"wide":  concrete.GenWideProgram,
+}
+
+func loadSource(genSeed int64, gen string) (src, name string, err error) {
 	if genSeed != 0 {
-		rng := rand.New(rand.NewSource(genSeed))
-		if wide {
-			return concrete.GenWideProgram(rng), fmt.Sprintf("genseed %d (wide)", genSeed), nil
+		g, ok := generators[gen]
+		if !ok {
+			return "", "", fmt.Errorf("unknown generator %q: want plain, free or wide", gen)
 		}
-		return concrete.GenProgram(rng), fmt.Sprintf("genseed %d", genSeed), nil
+		return g(rand.New(rand.NewSource(genSeed))), fmt.Sprintf("genseed %d (%s)", genSeed, gen), nil
 	}
 	if flag.NArg() != 1 {
 		return "", "", fmt.Errorf("usage: shapetriage [flags] <file.c | kernel-name>  |  shapetriage [flags] -genseed N")

@@ -1,6 +1,7 @@
 package concrete
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -34,9 +35,10 @@ func fuzzSeed(t *testing.T) int64 {
 // property, so a divergence here is a determinism bug as much as a
 // soundness one).
 //
-// On a failure, re-run the per-program seed printed in the message
-// through `shapetriage -genseed N` for the structured cover-diff
-// report, and `-shrink` to distill a corpus case (DESIGN.md §11).
+// A failure prints the `shapetriage` command that replays it, with the
+// program's generator and seed, level and trace seeds, for the
+// structured cover-diff report; add `-shrink` to distill a corpus case
+// (DESIGN.md §11).
 func TestFuzzSoundness(t *testing.T) {
 	programs := 30
 	traces := 10
@@ -45,28 +47,37 @@ func TestFuzzSoundness(t *testing.T) {
 	}
 	seedRng := rand.New(rand.NewSource(fuzzSeed(t)))
 	for i := 0; i < programs; i++ {
-		gen := GenProgram
+		gen, genName := GenProgram, "plain"
 		if i%3 == 2 { // every third program mixes in free()
-			gen = GenFreeProgram
+			gen, genName = GenFreeProgram, "free"
 		}
 		if i%5 == 4 { // every fifth program sweeps the spill path
-			gen = GenWideProgram
+			gen, genName = GenWideProgram, "wide"
 		}
 		genSeed := seedRng.Int63()
 		src := gen(rand.New(rand.NewSource(genSeed)))
 		prog := compile(t, src)
+		traceSeed := int64(1000 + i)
 		for _, lvl := range []rsg.Level{rsg.L1, rsg.L2, rsg.L3} {
+			replay := fmt.Sprintf("go run ./cmd/shapetriage -gen %s -genseed %d -level %d -runs %d -seed %d",
+				genName, genSeed, lvl, traces, traceSeed)
 			res, err := analysis.Run(prog, analysis.Options{Level: lvl, MaxVisits: 50000, Workers: 4})
 			if err != nil {
-				t.Fatalf("program %d (genseed %d) at %s: %v\n%s", i, genSeed, lvl, err, src)
+				t.Fatalf("program %d at %s: %v\nreplay: %s\n%s", i, lvl, err, replay, src)
 			}
 			func() {
 				defer func() {
 					if r := recover(); r != nil {
-						t.Fatalf("program %d (genseed %d) at %s panicked: %v\n%s", i, genSeed, lvl, r, src)
+						t.Fatalf("program %d at %s panicked: %v\nreplay: %s\n%s", i, lvl, r, replay, src)
 					}
 				}()
-				CheckTraces(t, prog, res, traces, int64(1000+i))
+				fail, err := FindCoverFailure(prog, res.Out, res.Level, traces, traceSeed)
+				if err != nil {
+					t.Fatalf("program %d at %s: %v\nreplay: %s", i, lvl, err, replay)
+				}
+				if fail != nil {
+					t.Fatalf("program %d at %s: %s\nreplay: %s", i, lvl, fail, replay)
+				}
 			}()
 		}
 	}
