@@ -162,11 +162,11 @@ type Stats struct {
 // CacheSummary renders the delta and cache counters in one line.
 func (s *Stats) CacheSummary() string {
 	return fmt.Sprintf(
-		"delta(transfers=%d dirty=%d) frozen=%d digests(computed=%d cached=%d) intern(hits=%d misses=%d) joins(hits=%d absorbed=%d built=%d)",
+		"delta(transfers=%d dirty=%d) frozen=%d digests(computed=%d cached=%d) intern(hits=%d misses=%d) joins(absorbed=%d built=%d)",
 		s.DeltaTransfers, s.DirtyBuckets,
 		s.Cache.GraphsFrozen, s.Cache.DigestsComputed, s.Cache.DigestCacheHits,
 		s.Cache.InternHits, s.Cache.InternMisses,
-		s.Cache.JoinHits, s.Cache.JoinsAbsorbed, s.Cache.JoinsBuilt)
+		s.Cache.JoinsAbsorbed, s.Cache.JoinsBuilt)
 }
 
 // SchedSummary renders the scheduling counters in one line.

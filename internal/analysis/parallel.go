@@ -66,12 +66,7 @@ type engineRun struct {
 
 	// Semi-naïve transfer state (DESIGN.md §8), coordinator-only: the
 	// worklist loop is sequential, so plain fields suffice. delta holds
-	// each statement's cached transfer state. The join cache
-	// (reduceOpts.Joins) is shared across every in-state merge and
-	// accumulator re-reduction of the run: the same canonical graph
-	// pairs recur at successive program points as out-states propagate
-	// through the CFG, so pairwise compat/join work done for one
-	// statement is reused by its successors.
+	// each statement's cached transfer state.
 	delta     map[int]*stmtDelta
 	eraseMemo absem.EraseMemo
 
@@ -130,10 +125,7 @@ func newEngineRun(opts Options, start time.Time) *engineRun {
 			parent(cause)
 		}
 	}
-	e.reduceOpts = rsrsg.Options{
-		Joins: rsrsg.NewJoinCache(),
-		Stats: e.rec,
-	}
+	e.reduceOpts = rsrsg.Options{Stats: e.rec}
 	if workers > 1 {
 		e.reduceOpts.Exec = e.exec
 	}

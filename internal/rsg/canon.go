@@ -46,19 +46,9 @@ type Digest [16]byte
 // String renders the digest in hex.
 func (d Digest) String() string { return hex.EncodeToString(d[:]) }
 
-// Less orders digests lexicographically; used to keep RSRSG entries in
-// a deterministic order.
-func (d Digest) Less(o Digest) bool {
-	for i := range d {
-		if d[i] != o[i] {
-			return d[i] < o[i]
-		}
-	}
-	return false
-}
-
 // Compare returns -1, 0 or +1 as d sorts before, equal to or after o in
-// the order of Less; it suits slices.BinarySearchFunc and SortFunc.
+// lexicographic byte order, the order RSRSG entries are kept in; it
+// suits slices.BinarySearchFunc and SortFunc.
 func (d Digest) Compare(o Digest) int { return bytes.Compare(d[:], o[:]) }
 
 // computeDigest hashes the signature bytes without materializing the
@@ -78,13 +68,6 @@ func digestIn(g *Graph, cs *canonScratch) Digest {
 	var d Digest
 	copy(d[:], sum[:16])
 	return d
-}
-
-// Hash returns the hex form of the graph's digest (memoized on frozen
-// graphs); kept for textual call sites like trace output.
-func Hash(g *Graph) string {
-	d := g.Digest()
-	return d.String()
 }
 
 // appendSignature appends the canonical encoding of g to buf, working

@@ -88,10 +88,6 @@ func (g *Graph) mustMutate(op string) {
 // it is recomputed from scratch on every call.
 func (g *Graph) Digest() Digest { return g.DigestStats(nil) }
 
-// DigestEqual reports whether two graphs have the same canonical form,
-// i.e. Signature(a) == Signature(b).
-func DigestEqual(a, b *Graph) bool { return a.Digest() == b.Digest() }
-
 // ---- interning ---------------------------------------------------------
 
 // internShards splits the intern table by digest prefix so concurrent

@@ -103,12 +103,12 @@ func TestFrozenViewsMatchUnfrozen(t *testing.T) {
 }
 
 // TestDigestEquivalentToSignature is the randomized property test: for
-// random graph pairs, DigestEqual(a, b) <=> Signature(a) == Signature(b).
+// random graph pairs, equal digests <=> Signature(a) == Signature(b).
 func TestDigestEquivalentToSignature(t *testing.T) {
 	err := quick.Check(func(seedA, seedB int64) bool {
 		a := randomGraph(rand.New(rand.NewSource(seedA)))
 		b := randomGraph(rand.New(rand.NewSource(seedB)))
-		return DigestEqual(a, b) == (Signature(a) == Signature(b))
+		return (a.Digest() == b.Digest()) == (Signature(a) == Signature(b))
 	}, &quick.Config{MaxCount: 500})
 	if err != nil {
 		t.Error(err)
@@ -118,7 +118,7 @@ func TestDigestEquivalentToSignature(t *testing.T) {
 		a := randomGraph(rand.New(rand.NewSource(seed)))
 		b := a.Clone()
 		b.Freeze()
-		return DigestEqual(a, b) && Signature(a) == Signature(b)
+		return a.Digest() == b.Digest() && Signature(a) == Signature(b)
 	}, &quick.Config{MaxCount: 200})
 	if err != nil {
 		t.Error(err)
@@ -242,28 +242,6 @@ func TestInternReleasesCollected(t *testing.T) {
 		t.Fatal("re-interned chain is not the live canonical instance")
 	}
 	runtime.KeepAlive(g)
-}
-
-func TestHashMatchesDigestHex(t *testing.T) {
-	g, _, _, _ := dlist(false)
-	if Hash(g) != g.Digest().String() {
-		t.Fatal("Hash must be the hex form of Digest")
-	}
-	if len(Hash(g)) != 32 {
-		t.Fatalf("Hash length = %d, want 32 hex chars (16 bytes)", len(Hash(g)))
-	}
-}
-
-func TestDigestLessIsStrictOrder(t *testing.T) {
-	a, _, _, _ := dlist(true)
-	b, _, _, _ := slist()
-	da, db := a.Digest(), b.Digest()
-	if da.Less(da) {
-		t.Fatal("Less must be irreflexive")
-	}
-	if da.Less(db) == db.Less(da) {
-		t.Fatal("distinct digests must be strictly ordered")
-	}
 }
 
 // twinGraph returns a pvar-anchored root with twins identical targets

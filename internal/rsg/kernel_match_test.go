@@ -90,7 +90,7 @@ func outStateGraphs(t *testing.T, kernel string, lvl rsg.Level) []*rsg.Graph {
 	for _, g := range seen {
 		gs = append(gs, g)
 	}
-	sort.Slice(gs, func(i, j int) bool { return gs[i].Digest().Less(gs[j].Digest()) })
+	sort.Slice(gs, func(i, j int) bool { return gs[i].Digest().Compare(gs[j].Digest()) < 0 })
 	outStateCache[key] = gs
 	return gs
 }

@@ -18,17 +18,15 @@ type RunStats struct {
 	digestHits      atomic.Uint64
 	internHits      atomic.Uint64
 	internMisses    atomic.Uint64
-	joins           [3]atomic.Uint64 // indexed by JoinOutcome
+	joins           [2]atomic.Uint64 // indexed by JoinOutcome
 }
 
 // JoinOutcome is how the RSRSG reduction answered one join request.
 type JoinOutcome int
 
 const (
-	// JoinHit is a request served from the join cache.
-	JoinHit JoinOutcome = iota
 	// JoinAbsorbed is a request JoinSubsumed answered with an operand.
-	JoinAbsorbed
+	JoinAbsorbed JoinOutcome = iota
 	// JoinBuilt is a request that built JOIN and ran COMPRESS.
 	JoinBuilt
 )
@@ -51,9 +49,8 @@ type CacheStats struct {
 	// form can miss more than once.
 	InternHits   uint64
 	InternMisses uint64
-	// JoinHits, JoinsAbsorbed and JoinsBuilt count the RSRSG
-	// reduction's join requests by outcome (JoinOutcome).
-	JoinHits      uint64
+	// JoinsAbsorbed and JoinsBuilt count the RSRSG reduction's join
+	// requests by outcome (JoinOutcome).
 	JoinsAbsorbed uint64
 	JoinsBuilt    uint64
 	// PoolGets and PoolNews are always 0: the scratch pools are not
@@ -112,7 +109,6 @@ func (r *RunStats) Snapshot() CacheStats {
 		DigestCacheHits: r.digestHits.Load(),
 		InternHits:      r.internHits.Load(),
 		InternMisses:    r.internMisses.Load(),
-		JoinHits:        r.joins[JoinHit].Load(),
 		JoinsAbsorbed:   r.joins[JoinAbsorbed].Load(),
 		JoinsBuilt:      r.joins[JoinBuilt].Load(),
 	}

@@ -40,12 +40,6 @@ type Accum struct {
 	// union across buckets, maintained incrementally.
 	reduced map[string][]entry
 	out     *Set
-	// snap is the clone of out handed to the last MergeDeltaDirty
-	// caller; it is reused verbatim while out is unchanged (a dirty
-	// bucket whose re-reduction reproduces the cached entries — the
-	// common case near convergence, where new raw graphs join into
-	// existing members) and dropped whenever out mutates.
-	snap *Set
 }
 
 // NewAccum returns an empty accumulator for the given analysis level.
@@ -121,10 +115,7 @@ func (a *Accum) MergeDeltaDirty(add, remove []*Set, opts Options) (*Set, int) {
 		}
 	}
 	if len(a.dirty) == 0 {
-		if a.snap == nil {
-			a.snap = a.out.Clone()
-		}
-		return a.snap, 0
+		return a.out.Clone(), 0
 	}
 	keys := make([]string, 0, len(a.dirty))
 	for k := range a.dirty {
@@ -143,7 +134,6 @@ func (a *Accum) MergeDeltaDirty(add, remove []*Set, opts Options) (*Set, int) {
 		if entriesEqual(a.reduced[key], results[i]) {
 			continue // re-reduction reproduced the cached entries
 		}
-		a.snap = nil
 		// Reduced entries inherit their bucket's alias key (JOIN and
 		// COMPRESS preserve the alias relation), so per-bucket swaps in
 		// the shared out-set cannot collide across buckets.
@@ -161,16 +151,14 @@ func (a *Accum) MergeDeltaDirty(add, remove []*Set, opts Options) (*Set, int) {
 	}
 	dirtied := len(keys)
 	a.dirty = make(map[string]struct{}, 4)
-	if a.snap == nil {
-		a.snap = a.out.Clone()
-	}
-	return a.snap, dirtied
+	return a.out.Clone(), dirtied
 }
 
 // entriesEqual reports whether two reduced-bucket slices hold the same
 // entries in the same order. The bucket reduction pipeline is
 // deterministic, so an unchanged bucket reproduces its previous result
-// elementwise; a false negative merely costs an unnecessary clone.
+// elementwise; a false negative merely costs an unnecessary
+// remove/insert round trip on the out-state.
 func entriesEqual(a, b []entry) bool {
 	if len(a) != len(b) {
 		return false

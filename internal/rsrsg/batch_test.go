@@ -27,7 +27,7 @@ func TestMergeDeltaBatchMatchesSequential(t *testing.T) {
 				nil, // nil and empty contributions must be skipped
 				New(),
 				FromGraphs(lvl, randomGraphs(r, 5, lvl), opts),
-				base, // fully-absorbed repeat: dismissed O(1)
+				base, // fully-absorbed repeat: adds nothing
 			}
 			seqChanged := false
 			for _, c := range contribs {

@@ -18,9 +18,9 @@ import (
 // L1 fixed point. They live in the external test package so that they
 // can run the analysis.
 //
-// Join results and interned graphs are held weakly, so a collection in
-// the middle of an iteration turns a later cache or intern hit into a
-// recomputation and moves allocs/op; and the scratch pools are per P,
+// Interned graphs are held weakly, so a collection in the middle of an
+// iteration turns a later intern hit into a recomputation and moves
+// allocs/op; and the scratch pools are per P,
 // so a goroutine that moves to another P misses them. Each benchmark
 // therefore runs on one P, which its sequential reductions do not
 // share, and each iteration with collection off, after a collection
@@ -54,7 +54,7 @@ func barnesOutStates(b *testing.B) []*rsg.Graph {
 		for _, g := range seen {
 			outStates = append(outStates, g)
 		}
-		sort.Slice(outStates, func(i, j int) bool { return outStates[i].Digest().Less(outStates[j].Digest()) })
+		sort.Slice(outStates, func(i, j int) bool { return outStates[i].Digest().Compare(outStates[j].Digest()) < 0 })
 	})
 	if outStatesErr != nil {
 		b.Fatal(outStatesErr)
@@ -115,8 +115,7 @@ func BenchmarkReduce(b *testing.B) {
 
 // BenchmarkMergeDeltaBatch folds the out-state graphs into an empty
 // in-state two contributions per batch, as a visit merges its
-// predecessors' out-states, with a join cache per iteration as the
-// engine keeps one per run.
+// predecessors' out-states.
 func BenchmarkMergeDeltaBatch(b *testing.B) {
 	parts := barnesParts(b, 32)
 	quiet(b)
@@ -124,7 +123,7 @@ func BenchmarkMergeDeltaBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		collect(b)
-		opts := rsrsg.Options{Joins: rsrsg.NewJoinCache()}
+		opts := rsrsg.Options{}
 		in := rsrsg.New()
 		for k := 0; k+1 < len(parts); k += 2 {
 			in.MergeDeltaBatch(rsg.L1, parts[k:k+2], opts)
@@ -142,7 +141,7 @@ func BenchmarkAccumMergeDeltaDirty(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		collect(b)
-		opts := rsrsg.Options{Joins: rsrsg.NewJoinCache()}
+		opts := rsrsg.Options{}
 		acc := rsrsg.NewAccum(rsg.L1)
 		for _, p := range parts {
 			acc.MergeDeltaDirty([]*rsrsg.Set{p}, nil, opts)

@@ -37,7 +37,7 @@ func checkAgainstOracle(t *testing.T, s *Set, want oracle, msg string) {
 	var prev rsg.Digest
 	i := 0
 	s.ForEachEntry(func(g *rsg.Graph, dig rsg.Digest) {
-		if i > 0 && !prev.Less(dig) {
+		if i > 0 && prev.Compare(dig) >= 0 {
 			t.Fatalf("%s: entry %d (%s) does not follow %s", msg, i, dig, prev)
 		}
 		if _, ok := want[dig]; !ok {

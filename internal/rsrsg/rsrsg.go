@@ -9,8 +9,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
-	"weak"
 
 	"repro/internal/rsg"
 )
@@ -35,97 +33,24 @@ func newEntry(g *rsg.Graph, rec *rsg.RunStats) entry {
 	return entry{g: g, dig: g.DigestStats(rec), alias: rsg.AliasKey(g)}
 }
 
-// joinKey identifies one ordered pair of canonical (interned) graphs at
-// one analysis level.
-type joinKey struct {
-	lvl  rsg.Level
-	a, b rsg.Digest
-}
-
-// JoinCache memoizes the JOIN+COMPRESS results of bucket reduction,
-// keyed by the operands' canonical digests and the analysis level. It
-// is semi-naïve engine state: the engine shares one cache across every
-// statement's accumulator (NewAccum), because dirty-bucket re-reduction
-// replays join chains over raw sets that grew by a handful of digests,
-// and the same canonical pairs recur across statements as graphs
-// propagate through the CFG. JOIN+COMPRESS is a pure function of its
-// frozen operands, so a cached result is bit-identical to recomputation
-// at any worker count; the mutex only guards the map, never the
-// computation, and a racing duplicate computation is harmless — both
-// sides intern to the same canonical graph. Callers without a cache (a
-// plain Reduce) recompute from scratch. COMPATIBLE verdicts are not
-// cached: a frozen graph pins its SPATH sets, so a verdict costs a few
-// property compares, less than a locked map probe.
-//
-// Like the intern table, the cache does not own the graphs it returns:
-// a join result is held weakly, so one that no set holds any more is
-// collected, and a later hit on its key recomputes it (see joinedEntry).
-type JoinCache struct {
-	mu     sync.Mutex
-	joined map[joinKey]joinedEntry
-}
-
-// joinedEntry is one cached join result: the graph, held weakly, and
-// the keys newEntry derived from it. Recomputing a collected graph
-// yields the same digest and alias key, because JOIN+COMPRESS is pure.
-type joinedEntry struct {
-	g     weak.Pointer[rsg.Graph]
-	dig   rsg.Digest
-	alias string
-}
-
-// joinCacheCap bounds the cache's map; a map that reaches the cap is
-// reset wholesale — entries are pure-function results, so eviction only
-// costs recomputation. Entries of collected join results still hold
-// their keys, so the map needs the cap even though its graphs are weak.
-const joinCacheCap = 1 << 15
-
-// NewJoinCache returns an empty join cache for sharing across Accums.
-func NewJoinCache() *JoinCache {
-	return &JoinCache{joined: make(map[joinKey]joinedEntry)}
-}
-
-// join is JOIN+COMPRESS in interned entry form through the cache; a nil
-// receiver recomputes. When one operand already absorbs the other,
-// rsg.JoinSubsumed names it and the join is that operand's entry, with
-// nothing built, digested or interned; that is exact because both
-// operands are set members, and so COMPRESS fixpoints at lvl (Set.Add).
-// rec counts the request's outcome and attributes a built join's intern
-// work to the calling run; a cache hit touches no other counter (the
-// entry's keys were computed when it was first joined). A hit whose
-// graph was collected is a miss.
-func (c *JoinCache) join(lvl rsg.Level, a, b entry, rec *rsg.RunStats) entry {
-	k := joinKey{lvl: lvl, a: a.dig, b: b.dig}
-	if c != nil {
-		c.mu.Lock()
-		je := c.joined[k]
-		c.mu.Unlock()
-		if g := je.g.Value(); g != nil {
-			rec.AddJoin(rsg.JoinHit)
-			return entry{g: g, dig: je.dig, alias: je.alias}
-		}
-	}
-	var e entry
+// join is JOIN+COMPRESS in interned entry form. When one operand
+// already absorbs the other, rsg.JoinSubsumed names it and the join is
+// that operand's entry, with nothing built, digested or interned; that
+// is exact because both operands are set members, and so COMPRESS
+// fixpoints at lvl (Set.Add). rec counts the request's outcome and
+// attributes a built join's intern work to the calling run.
+func join(lvl rsg.Level, a, b entry, rec *rsg.RunStats) entry {
 	switch merged, keep := rsg.JoinSubsumed(lvl, a.g, b.g); keep {
 	case nil:
 		rec.AddJoin(rsg.JoinBuilt)
-		e = newEntry(merged, rec)
+		return newEntry(merged, rec)
 	case a.g:
 		rec.AddJoin(rsg.JoinAbsorbed)
-		e = a
+		return a
 	default:
 		rec.AddJoin(rsg.JoinAbsorbed)
-		e = b
+		return b
 	}
-	if c != nil {
-		c.mu.Lock()
-		if len(c.joined) >= joinCacheCap {
-			c.joined = make(map[joinKey]joinedEntry, 64)
-		}
-		c.joined[k] = joinedEntry{g: weak.Make(e.g), dig: e.dig, alias: e.alias}
-		c.mu.Unlock()
-	}
-	return e
 }
 
 // Set is one RSRSG: a reduced set of RSGs, deduplicated by canonical
@@ -140,14 +65,6 @@ type Set struct {
 	// prevents re-absorbing (and re-joining) recurring contributions
 	// during the fixed point. Lazily initialized by MergeDeltaBatch.
 	absorbed map[rsg.Digest]struct{}
-	// absorbedContribs records whole contribution sets already folded in
-	// through MergeDeltaBatch, keyed by the same (length, set digest)
-	// pair Equal compares. A statement is revisited whenever any
-	// predecessor changes, so the out-states of its unchanged
-	// predecessors are re-merged verbatim on every visit; this lets
-	// MergeDeltaBatch dismiss such repeats in O(1) instead of
-	// re-scanning every member.
-	absorbedContribs map[contribKey]struct{}
 	// setDig is the XOR of the member digests: order-independent,
 	// updated in O(1) per insertion/removal. Two sets with equal length
 	// and equal setDig hold the same members (up to hash collision).
@@ -184,7 +101,7 @@ type Exec func(tasks []func())
 // Options tunes the reduction. The zero value is the paper's behaviour.
 // Every reduction joins set members only, so its operands are COMPRESS
 // fixpoints at its level (see Set.Add), which lets a join answered by
-// one of its operands skip JOIN and COMPRESS (JoinCache.join).
+// one of its operands skip JOIN and COMPRESS (join).
 type Options struct {
 	// Exec, when non-nil, runs the per-alias-bucket reduction tasks of
 	// Reduce, MergeDeltaBatch and Accum.MergeDeltaDirty concurrently.
@@ -195,12 +112,6 @@ type Options struct {
 	// results are recombined in sorted bucket-key order, so the outcome
 	// is bit-identical to a sequential run.
 	Exec Exec
-	// Joins, when non-nil, memoizes pairwise JOIN+COMPRESS results
-	// across Reduce/MergeDeltaBatch/Accum calls (see JoinCache). The
-	// join is a pure function of its frozen operands, so supplying a
-	// cache never changes results. The semi-naïve engine shares one
-	// cache per run.
-	Joins *JoinCache
 	// Stats, when non-nil, counts the rsg digest/freeze/intern work
 	// done on this run's behalf. It is the run's only cache tally, so a
 	// process running several analyses at once (the daemon) still
@@ -227,7 +138,7 @@ func (o Options) run(tasks []func()) {
 // contract: every step function ends in Compress or returns its input,
 // every join result is compressed, and the store restores members
 // written at the same level. The reduction relies on it to answer a
-// join with an operand (JoinCache.join).
+// join with an operand (join).
 func (s *Set) Add(g *rsg.Graph) bool {
 	return s.AddStats(g, nil)
 }
@@ -365,7 +276,7 @@ func reduceBuckets(lvl rsg.Level, groups [][]entry, opts Options) [][]entry {
 			continue
 		}
 		tasks = append(tasks, func() {
-			results[i] = reduceGroup(lvl, slices.Clone(group), opts.Joins, opts.Stats)
+			results[i] = reduceGroup(lvl, slices.Clone(group), opts.Stats)
 		})
 	}
 	opts.run(tasks)
@@ -374,10 +285,8 @@ func reduceBuckets(lvl rsg.Level, groups [][]entry, opts Options) [][]entry {
 
 // reduceGroup joins compatible graphs within one alias bucket until a
 // fixed point, reslicing group. Member graphs are frozen, so SPATH sets
-// come from the freeze-time cache. jc, when non-nil, memoizes the join
-// results across calls (the Accum's dirty-bucket replays); nil
-// recomputes them.
-func reduceGroup(lvl rsg.Level, group []entry, jc *JoinCache, rec *rsg.RunStats) []entry {
+// come from the freeze-time cache.
+func reduceGroup(lvl rsg.Level, group []entry, rec *rsg.RunStats) []entry {
 	for {
 		joined := false
 	scan:
@@ -386,7 +295,7 @@ func reduceGroup(lvl rsg.Level, group []entry, jc *JoinCache, rec *rsg.RunStats)
 				if !rsg.CompatibleSP(lvl, group[i].g, group[j].g) {
 					continue
 				}
-				e := jc.join(lvl, group[i], group[j], rec)
+				e := join(lvl, group[i], group[j], rec)
 				ng := make([]entry, 0, len(group)-1)
 				for k := range group {
 					if k != i && k != j {
@@ -456,15 +365,10 @@ func (s *Set) MergeDeltaBatch(lvl rsg.Level, contribs []*Set, opts Options) Delt
 }
 
 // absorbContrib folds one contribution into the absorbed history and
-// appends its genuinely-new entries to delta. A contribution whose
-// (length, set digest) pair was fully absorbed before is dismissed in
-// O(1).
+// appends its genuinely-new entries to delta. The history never
+// shrinks, so a repeated contribution appends nothing.
 func (s *Set) absorbContrib(other *Set, delta []entry) []entry {
 	if other == nil || len(other.entries) == 0 {
-		return delta
-	}
-	ck := contribKey{n: len(other.entries), dig: other.setDig}
-	if _, done := s.absorbedContribs[ck]; done {
 		return delta
 	}
 	if s.absorbed == nil {
@@ -480,13 +384,6 @@ func (s *Set) absorbContrib(other *Set, delta []entry) []entry {
 		s.absorbed[e.dig] = struct{}{}
 		delta = append(delta, e)
 	}
-	// Every member of other is now in the absorbed history, so merging
-	// an identical contribution again cannot produce a delta; remember
-	// the whole set so the repeat is dismissed before the scan above.
-	if s.absorbedContribs == nil {
-		s.absorbedContribs = make(map[contribKey]struct{}, 8)
-	}
-	s.absorbedContribs[ck] = struct{}{}
 	return delta
 }
 
@@ -527,7 +424,7 @@ func (s *Set) mergeEntries(lvl rsg.Level, delta []entry, opts Options) Delta {
 	tasks := make([]func(), len(order))
 	for i, key := range order {
 		tasks[i] = func() {
-			results[i] = mergeBucket(lvl, buckets[key], keyed[key], opts.Joins, opts.Stats)
+			results[i] = mergeBucket(lvl, buckets[key], keyed[key], opts.Stats)
 		}
 	}
 	opts.run(tasks)
@@ -559,13 +456,6 @@ func (s *Set) mergeEntries(lvl rsg.Level, delta []entry, opts Options) Delta {
 	return d
 }
 
-// contribKey identifies a fully-absorbed contribution set by the same
-// O(1) (length, set digest) pair Equal compares.
-type contribKey struct {
-	n   int
-	dig rsg.Digest
-}
-
 // bucketDelta is the outcome of merging one alias bucket's queue.
 type bucketDelta struct {
 	// final is the bucket's complete membership after the merge round.
@@ -576,14 +466,11 @@ type bucketDelta struct {
 }
 
 // mergeBucket folds queue into bucket — the sequential inner loop of
-// the RSRSG accumulation — touching no shared state except the
-// internally-synchronized join cache, so buckets can run concurrently.
-// Entries already present (by digest) are dropped; an entry compatible
-// with a member is joined, compressed, and re-queued; anything else
-// becomes a new member. Out-states propagate along the CFG, so the same
-// canonical pairs are joined at successive statements — with a shared
-// jc those recurrences are map hits.
-func mergeBucket(lvl rsg.Level, bucket, queue []entry, jc *JoinCache, rec *rsg.RunStats) bucketDelta {
+// the RSRSG accumulation — touching no shared state, so buckets can run
+// concurrently. Entries already present (by digest) are dropped; an
+// entry compatible with a member is joined, compressed, and re-queued;
+// anything else becomes a new member.
+func mergeBucket(lvl rsg.Level, bucket, queue []entry, rec *rsg.RunStats) bucketDelta {
 	var d bucketDelta
 	have := make(map[rsg.Digest]struct{}, len(bucket)+len(queue))
 	for _, e := range bucket {
@@ -608,7 +495,7 @@ func mergeBucket(lvl rsg.Level, bucket, queue []entry, jc *JoinCache, rec *rsg.R
 			continue
 		}
 		old := bucket[joined]
-		me := jc.join(lvl, old, e, rec)
+		me := join(lvl, old, e, rec)
 		if me.dig == old.dig {
 			continue // absorbing e did not change the member
 		}

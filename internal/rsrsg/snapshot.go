@@ -28,17 +28,16 @@ func (s *Set) MemberDigests() []rsg.Digest {
 // Graphs are interned (decode already froze them; Intern dedups against
 // the process cache). They must arrive in strictly ascending digest
 // order, the order MemberDigests lists them in, so the entries are
-// built in one pass, with the member index left for the first mutation
-// to rebuild (as after Clone). The restored set is structurally
-// identical — same entries, same order, same XOR digest — to the set
-// MemberDigests was taken from. A list out of order or with a repeated
+// built in one pass. The restored set is structurally identical — same
+// entries, same order, same XOR digest — to the set MemberDigests was
+// taken from. A list out of order or with a repeated
 // digest was not written by MemberDigests: RestoreSetStats returns
 // false, and the caller treats the stored list as unreadable.
 func RestoreSetStats(graphs []*rsg.Graph, rec *rsg.RunStats) (*Set, bool) {
 	s := &Set{entries: make([]entry, len(graphs))}
 	for i, g := range graphs {
 		e := newEntry(g, rec)
-		if i > 0 && !s.entries[i-1].dig.Less(e.dig) {
+		if i > 0 && s.entries[i-1].dig.Compare(e.dig) >= 0 {
 			return nil, false
 		}
 		s.entries[i] = e

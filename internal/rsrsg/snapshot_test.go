@@ -8,9 +8,9 @@ import (
 
 // TestRestoreSet checks that a set restored from its members, in the
 // order MemberDigests lists them, is the original set — same entries,
-// order, digest and size totals — and that its member index is rebuilt
-// on first mutation. A list out of ascending digest order, or with a
-// repeated digest, is rejected.
+// order, digest and size totals — and that it deduplicates and admits
+// graphs as any set does. A list out of ascending digest order, or with
+// a repeated digest, is rejected.
 func TestRestoreSet(t *testing.T) {
 	s := New()
 	for _, p := range []string{"x", "y", "z"} {
