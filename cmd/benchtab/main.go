@@ -319,6 +319,9 @@ func main() {
 				fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
 				os.Exit(1)
 			}
+			// RunLevel forces no collection; the Space column measures
+			// from a collected heap.
+			runtime.GC()
 			rep := analysis.RunLevel(prog, c.lvl, nil, c.opts)
 			c.reps = append(c.reps, repMeasurement{
 				ns:         rep.Duration.Nanoseconds(),

@@ -49,9 +49,13 @@ type LevelReport struct {
 	Duration time.Duration
 	// AllocBytes is the total heap allocation performed by the level's
 	// run; AllocObjects the matching object count (runtime Mallocs
-	// delta); PeakHeapBytes samples the live heap every 50 ms during
-	// the run — the closer analogue of the paper's resident "Space
-	// (MB)" column (see EXPERIMENTS.md).
+	// delta). PeakHeapBytes is the largest HeapAlloc sampled every
+	// 50 ms during the run and once at its end — the closer analogue of
+	// the paper's resident "Space (MB)" column (see EXPERIMENTS.md).
+	// HeapAlloc counts garbage not yet collected, and RunLevel does not
+	// collect first, so the figure also holds whatever the heap held
+	// when the level started: within a progressive run, L2 and L3 start
+	// on the garbage of the levels before them.
 	AllocBytes    uint64
 	AllocObjects  uint64
 	PeakHeapBytes uint64
@@ -74,9 +78,12 @@ func (p *ProgressiveResult) AchievedLevel() rsg.Level {
 
 // Progressive runs the paper's progressive analysis: L1 first, then L2
 // and L3, stopping as soon as every goal is met (or after L3). opts
-// applies to every level; opts.Level is ignored.
+// applies to every level; opts.Level is ignored. It forces one garbage
+// collection before L1, so the run's memory figures start from a
+// collected heap; the later levels are not preceded by another.
 func Progressive(prog *ir.Program, goals []Goal, opts Options) *ProgressiveResult {
 	out := &ProgressiveResult{}
+	runtime.GC()
 	for _, lvl := range []rsg.Level{rsg.L1, rsg.L2, rsg.L3} {
 		rep := RunLevel(prog, lvl, goals, opts)
 		out.Levels = append(out.Levels, rep)
@@ -89,17 +96,18 @@ func Progressive(prog *ir.Program, goals []Goal, opts Options) *ProgressiveResul
 }
 
 // RunLevel executes one level with time and allocation measurement and
-// goal evaluation.
+// goal evaluation. It measures from whatever heap it finds: it forces
+// no collection, so a caller that wants PeakHeapBytes to start from a
+// collected baseline calls runtime.GC first.
 func RunLevel(prog *ir.Program, lvl rsg.Level, goals []Goal, opts Options) LevelReport {
 	opts.Level = lvl
 	rep := LevelReport{Level: lvl}
 
 	var before runtime.MemStats
-	runtime.GC()
 	runtime.ReadMemStats(&before)
 	start := time.Now()
 
-	// Sample the live heap while the run executes.
+	// Sample the heap (HeapAlloc) while the run executes.
 	stopSampler := make(chan struct{})
 	peakCh := make(chan uint64, 1)
 	go func() {
