@@ -374,6 +374,10 @@ func (l *lowerer) lowerPtrAssign(lhs *cminic.Path, rhs cminic.Expr, line int) {
 			l.checkMallocType(lhs, r, line)
 			l.emit(&Stmt{Op: OpMalloc, X: x, Type: r.Type, Line: line})
 		case *cminic.PathExpr:
+			l.checkCopyType(lhs, r.Path, line)
+			if l.err != nil {
+				return
+			}
 			if len(r.Path.Sels) == 0 {
 				l.emit(&Stmt{Op: OpCopy, X: x, Y: r.Path.Base, Line: line})
 				return
@@ -404,6 +408,10 @@ func (l *lowerer) lowerPtrAssign(lhs *cminic.Path, rhs cminic.Expr, line int) {
 		l.emit(&Stmt{Op: OpSelCopy, X: base, Sel: lastSel, Y: t, Line: line})
 		cleanup = append(cleanup, t)
 	case *cminic.PathExpr:
+		l.checkCopyType(lhs, r.Path, line)
+		if l.err != nil {
+			return
+		}
 		y := l.evalPathValue(r.Path, line, &cleanup)
 		if l.err != nil {
 			return
@@ -422,6 +430,24 @@ func (l *lowerer) checkMallocType(lhs *cminic.Path, m *cminic.MallocExpr, line i
 	}
 	if _, known := l.file.Types[m.Type]; !known {
 		l.fail(line, "malloc of unknown struct %s", m.Type)
+	}
+}
+
+// checkCopyType rejects a pointer copy the frontend cannot type: a
+// right-hand path whose base is not a declared struct pointer, or one
+// that points to another struct than the left-hand side. A bad
+// selector on the right is reported when the path is lowered.
+func (l *lowerer) checkCopyType(lhs, rhs *cminic.Path, line int) {
+	got, ok := l.file.PathType(l.prog.PtrVars, rhs)
+	if !ok {
+		if _, declared := l.prog.PtrVars[rhs.Base]; !declared {
+			l.fail(line, "%s is not a declared struct pointer", rhs.Base)
+		}
+		return
+	}
+	want, ok := l.file.PathType(l.prog.PtrVars, lhs)
+	if ok && want != got {
+		l.fail(line, "struct %s pointer assigned to pointer to struct %s", got, want)
 	}
 }
 

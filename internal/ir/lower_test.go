@@ -151,6 +151,12 @@ func TestLowerTypeErrors(t *testing.T) {
 		{`p->bogus = NULL;`, "no field"},
 		{`p->val = NULL;`, "not a struct pointer"}, // scalar field as pointer: LHS is scalar, so becomes noop — no error
 		{`p = malloc(sizeof(struct leaf));`, "malloc of struct leaf assigned"},
+		{`p = zz;`, "zz is not a declared struct pointer"},
+		{`p->nxt = zz;`, "zz is not a declared struct pointer"},
+		{`p = l;`, "struct leaf pointer assigned to pointer to struct node"},
+		{`p->nxt = l;`, "struct leaf pointer assigned to pointer to struct node"},
+		{`l = p->nxt;`, "struct node pointer assigned to pointer to struct leaf"},
+		{`struct node *r = l;`, "struct leaf pointer assigned to pointer to struct node"},
 	}
 	for _, c := range cases {
 		f, err := cminic.Parse(wrapMain(c.body))
