@@ -93,11 +93,13 @@ bench:
 # it); a failure prints the command that replays the find, e.g.
 #   go run ./cmd/shapetriage -gen free -genseed <N> -level 1 -runs 10 -seed <S>
 # and adding -shrink distills it into internal/concrete/testdata/
-# (DESIGN.md §11).
+# (DESIGN.md §11). `fuzz` then fuzzes the compile path (parse + lower)
+# for 60 s; `go test` alone runs only FuzzCompile's seeds.
 # `fuzz-short` is the CI slice: corpus sweep + a reduced fuzz pass.
 .PHONY: fuzz-short
 fuzz:
 	FUZZ_SEED=$(FUZZ_SEED) $(GO) test -run 'TestFuzzSoundness|TestCorpusSoundness' -count=1 -v ./internal/concrete/
+	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 60s ./internal/verdict/
 
 fuzz-short:
 	FUZZ_SEED=$(FUZZ_SEED) $(GO) test -run 'TestFuzzSoundness|TestCorpusSoundness' -count=1 -short ./internal/concrete/

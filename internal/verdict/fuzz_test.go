@@ -3,10 +3,12 @@ package verdict
 import (
 	"math/rand"
 	"os"
+	"path/filepath"
 	"strconv"
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/benchprog"
 	"repro/internal/concrete"
 )
 
@@ -40,15 +42,15 @@ func TestFuzzDifferentialVerdicts(t *testing.T) {
 	}
 	seedRng := rand.New(rand.NewSource(fuzzSeed(t)))
 	for i := 0; i < programs; i++ {
-		gen := concrete.GenFreeProgram
+		gen, genName := concrete.GenFreeProgram, "free"
 		if i%4 == 3 { // every fourth program is free-less
-			gen = concrete.GenProgram
+			gen, genName = concrete.GenProgram, "plain"
 		}
 		genSeed := seedRng.Int63()
 		src := gen(rand.New(rand.NewSource(genSeed)))
 		prog, err := Compile(src)
 		if err != nil {
-			t.Fatalf("program %d (genseed %d): %v\n%s", i, genSeed, err, src)
+			t.Fatalf("program %d (gen %s, genseed %d): %v\n%s", i, genName, genSeed, err, src)
 		}
 		rep := Check(prog, Options{Analysis: analysis.Options{MaxVisits: 50000, Workers: 4}})
 		if rep.Err != nil {
@@ -60,7 +62,7 @@ func TestFuzzDifferentialVerdicts(t *testing.T) {
 		for seed := int64(1); seed <= seeds; seed++ {
 			tr, err := concrete.RunSeed(prog, seed)
 			if err != nil {
-				t.Fatalf("program %d (genseed %d) seed %d: %v\n%s", i, genSeed, seed, err, src)
+				t.Fatalf("program %d (gen %s, genseed %d) seed %d: %v\n%s", i, genName, genSeed, seed, err, src)
 			}
 			if c, ok := classOfFault(tr.Fault); ok {
 				observed[c] = true
@@ -72,9 +74,39 @@ func TestFuzzDifferentialVerdicts(t *testing.T) {
 		for _, c := range Classes() {
 			v := rep.VerdictFor(c)
 			if v.Status == Safe && observed[c] {
-				t.Errorf("program %d (genseed %d): checker claims %s %s but the interpreter violates it\n%s",
-					i, genSeed, c, v, src)
+				t.Errorf("program %d (gen %s, genseed %d): checker claims %s %s but the interpreter violates it\n%s",
+					i, genName, genSeed, c, v, src)
 			}
 		}
 	}
+}
+
+// FuzzCompile feeds arbitrary source to Compile, the parse-and-lower
+// path every shapecheck task and every /check request takes first: it
+// must return, with a program or an error, and never panic. The seeds
+// are the verdict corpus, the concrete regression programs and the
+// kernels; `make fuzz` runs a bounded fuzzing pass.
+func FuzzCompile(f *testing.F) {
+	for _, pattern := range []string{filepath.Join(corpusDir, "*.c"), "../concrete/testdata/*.c"} {
+		paths, err := filepath.Glob(pattern)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if len(paths) == 0 {
+			f.Fatalf("no seed programs match %s", pattern)
+		}
+		for _, path := range paths {
+			src, err := os.ReadFile(path)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(string(src))
+		}
+	}
+	for _, k := range benchprog.All() {
+		f.Add(k.Source)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		_, _ = Compile(src) // rejecting the input is fine; panicking is not
+	})
 }
