@@ -79,8 +79,8 @@ func (p *ProgressiveResult) AchievedLevel() rsg.Level {
 // Progressive runs the paper's progressive analysis: L1 first, then L2
 // and L3, stopping as soon as every goal is met (or after L3). opts
 // applies to every level; opts.Level is ignored. It forces one garbage
-// collection before L1, so the run's memory figures start from a
-// collected heap; the later levels are not preceded by another.
+// collection, before L1, so L1's memory figures start from a collected
+// heap; L2 and L3 start from whatever the levels before them left.
 func Progressive(prog *ir.Program, goals []Goal, opts Options) *ProgressiveResult {
 	out := &ProgressiveResult{}
 	runtime.GC()
