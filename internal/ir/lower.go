@@ -375,9 +375,6 @@ func (l *lowerer) lowerPtrAssign(lhs *cminic.Path, rhs cminic.Expr, line int) {
 			l.emit(&Stmt{Op: OpMalloc, X: x, Type: r.Type, Line: line})
 		case *cminic.PathExpr:
 			l.checkCopyType(lhs, r.Path, line)
-			if l.err != nil {
-				return
-			}
 			if len(r.Path.Sels) == 0 {
 				l.emit(&Stmt{Op: OpCopy, X: x, Y: r.Path.Base, Line: line})
 				return
@@ -409,9 +406,6 @@ func (l *lowerer) lowerPtrAssign(lhs *cminic.Path, rhs cminic.Expr, line int) {
 		cleanup = append(cleanup, t)
 	case *cminic.PathExpr:
 		l.checkCopyType(lhs, r.Path, line)
-		if l.err != nil {
-			return
-		}
 		y := l.evalPathValue(r.Path, line, &cleanup)
 		if l.err != nil {
 			return
